@@ -11,11 +11,12 @@ answers "what is happening right now".  It consists of:
   incremental checkpoints;
 * :mod:`repro.stream.checkpoint` — versioned checkpoint chains: atomic
   full snapshots plus fsynced delta appends with periodic compaction;
-* :mod:`repro.stream.service` — the tailing loop with transactional alarm
-  flushing, async double-buffered checkpointing, kill-and-resume
-  bit-identity, metrics and manifests;
+* :mod:`repro.stream.service` — the tailing loop, and the
+  ``BoundaryCommitter`` both drivers share: transactional alarm flushing,
+  async double-buffered checkpointing, kill-and-resume bit-identity,
+  checkpoint metrics;
 * :mod:`repro.stream.router` — N vantage-point feeds sharded by prefix
-  across worker processes, merged into one durability domain.
+  across worker processes, merged into the same durability domain.
 
 See ``docs/streaming.md`` for the feed format, checkpoint-chain layout,
 sharding, and resume semantics.

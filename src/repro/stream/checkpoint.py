@@ -54,8 +54,9 @@ from repro.stream.delta import apply_state_delta
 
 CHECKPOINT_FORMAT = "repro-stream-checkpoint"
 CHECKPOINT_VERSION = 2
-#: Versions this loader understands (v1 predates ``alarm_bytes`` + chains).
-SUPPORTED_VERSIONS = (1, 2)
+#: Versions this loader understands (v1, without ``alarm_bytes`` or chains,
+#: is refused).
+SUPPORTED_VERSIONS = (2,)
 
 DELTA_FORMAT = "repro-stream-checkpoint-delta"
 
@@ -161,7 +162,7 @@ class Checkpoint:
                 byte_offset=int(data["byte_offset"]),
                 alarm_lines=int(data["alarm_lines"]),
                 engine_state=dict(data["engine"]),
-                alarm_bytes=int(data.get("alarm_bytes", 0)),
+                alarm_bytes=int(data["alarm_bytes"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint: {exc}") from exc
@@ -213,30 +214,21 @@ def _no_fault(point: str) -> None:
 class ChainWriter:
     """Writes one checkpoint chain: full snapshots, delta appends, compaction.
 
-    The writer is synchronous and single-owner (one service per checkpoint
-    path, as before); the service wraps it in a background pump for the
-    async double-buffered path.  ``fault`` is the crash-injection hook —
-    production passes nothing and every ``_fault`` call is a no-op.
+    The writer is synchronous and single-owner (one run per checkpoint
+    path); :class:`~repro.stream.service.BoundaryCommitter` decides when a
+    boundary is a full snapshot and may call the writer from a background
+    pump.  ``fault`` is the crash-injection hook — production passes
+    nothing and every ``_fault`` call is a no-op.
     """
 
     def __init__(
-        self,
-        path: Union[str, Path],
-        *,
-        full_every: int = DEFAULT_FULL_EVERY,
-        fault: Optional[FaultHook] = None,
+        self, path: Union[str, Path], *, fault: Optional[FaultHook] = None
     ) -> None:
-        if full_every < 1:
-            raise ValueError(f"full_every must be >= 1, got {full_every}")
         self.path = Path(path)
         self.delta_path = delta_path_for(path)
-        self.full_every = full_every
         self._fault: FaultHook = fault if fault is not None else _no_fault
         self._base_digest: Optional[str] = None
         self._seq = 0
-        self._deltas_since_full = 0
-        self.fulls_written = 0
-        self.deltas_written = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -249,14 +241,6 @@ class ChainWriter:
                 os.fsync(handle.fileno())
         self._base_digest = chain.base_digest
         self._seq = chain.seq
-        self._deltas_since_full = chain.seq
-
-    def wants_full(self) -> bool:
-        """Should the next boundary be a full snapshot (compaction)?"""
-        return (
-            self._base_digest is None
-            or self._deltas_since_full + 1 >= self.full_every
-        )
 
     # -- writing -------------------------------------------------------------
 
@@ -286,8 +270,6 @@ class ChainWriter:
         fsync_parent_dir(self.path)
         self._base_digest = checkpoint.digest()
         self._seq = 0
-        self._deltas_since_full = 0
-        self.fulls_written += 1
 
     def append_delta(
         self,
@@ -330,8 +312,6 @@ class ChainWriter:
             fsync_parent_dir(self.delta_path)
         self._fault("delta-post-fsync")
         self._seq += 1
-        self._deltas_since_full += 1
-        self.deltas_written += 1
 
 
 # -- loading ----------------------------------------------------------------
@@ -402,7 +382,7 @@ def load_chain(path: Union[str, Path]) -> LoadedChain:
                 new_offset = int(record["offset"])
                 new_byte_offset = int(record["byte_offset"])
                 new_alarm_lines = int(record["alarm_lines"])
-                new_alarm_bytes = int(record.get("alarm_bytes", 0))
+                new_alarm_bytes = int(record["alarm_bytes"])
                 state = apply_state_delta(state, dict(record["delta"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise CheckpointError(
@@ -442,7 +422,7 @@ def save_checkpoint(path: Union[str, Path], checkpoint: Checkpoint) -> None:
     Resets any existing delta chain beside ``path`` — the one-shot
     (chainless) API used by tests and external callers.
     """
-    ChainWriter(path, full_every=1).write_full(checkpoint)
+    ChainWriter(path).write_full(checkpoint)
 
 
 def load_checkpoint(path: Union[str, Path]) -> Checkpoint:

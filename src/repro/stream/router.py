@@ -20,19 +20,20 @@ them in shard-index order, so the merged log's line order is a pure
 function of the feed contents — ``(day, shard, emission order)`` — no
 matter where checkpoints or interruptions fall.
 
-**One durability domain.**  The parent owns the only checkpoint chain and
-the only alarm log.  At a checkpoint boundary (the first day barrier after
-``checkpoint_every`` routed records) every shard also returns its engine
-payload — a full :meth:`~StreamEngine.snapshot_state` or a
-:meth:`~StreamEngine.delta_state` — and the parent writes one composite
-chain record (``shard_count``, per-shard states, per-feed byte offsets,
-the completed day) through the same
-:class:`~repro.stream.checkpoint.ChainWriter` the single-engine service
-uses, after fsyncing the alarm lines it accounts.  Kill-and-resume is
-therefore exactly the single-engine story: load the chain, refuse on a
-shard-count mismatch, restore each shard, ``os.truncate`` the alarm log to
-the recorded byte, seek each feed, continue — and the concatenated logs
-are bit-identical to an uninterrupted sharded run.
+**One durability domain.**  The parent owns the only alarm log, checkpoint
+chain and index, through the same
+:class:`~repro.stream.service.BoundaryCommitter` the single-engine service
+uses.  At a boundary (the first day barrier after ``checkpoint_every``
+routed records) every shard also returns its engine payload — a full
+:meth:`~StreamEngine.snapshot_state` or a
+:meth:`~StreamEngine.delta_state` — and the parent commits the merged alarm
+lines and one composite chain record (``shard_count``, per-shard states,
+per-feed byte offsets, the completed day).  Without a chain the boundary
+still commits the alarm lines (and index).  Kill-and-resume is therefore
+exactly the single-engine story: the committer loads the chain and rolls
+the alarm log back; the router refuses a shard- or feed-count mismatch,
+restores each shard and seeks each feed — and the concatenated logs are
+bit-identical to an uninterrupted sharded run.
 
 A graceful stop (SIGTERM) finishes the in-flight day first, so every
 checkpoint sits on a day boundary and the merged-log ordering above holds
@@ -43,14 +44,11 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
-import signal
 import zlib
+from functools import partial
 from pathlib import Path
-from types import FrameType
 from typing import (
     IO,
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -60,29 +58,23 @@ from typing import (
     Union,
 )
 
-from repro.fsio import fsync_parent_dir
-from repro.obs.manifest import ManifestRecord
 from repro.obs.metrics import MetricsRegistry
 from repro.stream.checkpoint import (
     DEFAULT_FULL_EVERY,
-    ChainWriter,
     Checkpoint,
     CheckpointError,
     FaultHook,
-    load_chain,
-    reap_stale_tmp,
 )
 from repro.stream.engine import StreamEngine
 from repro.stream.feed import OP_TICK, FeedError, FeedRecord, parse_feed_line
 from repro.stream.service import (
+    BoundaryCommitter,
     StreamSummary,
     _real_clock,
     _real_sleep,
-    fault_hook_from_env,
+    _StreamDriver,
+    capture_state,
 )
-
-if TYPE_CHECKING:  # runtime import is lazy: stream never *needs* query
-    from repro.query.builder import IndexBuilder
 
 #: Raw-byte markers in the canonical feed serialisation (sorted keys,
 #: compact separators — see FeedRecord.to_json_line).
@@ -124,13 +116,20 @@ def merged_daily_counts(shard_states: Sequence[Dict[str, Any]]) -> Dict[int, int
 # -- the shard worker --------------------------------------------------------
 
 
-def _shard_worker(conn: Any, window: float, index_enabled: bool = False) -> None:
+def _shard_worker(
+    conn: Any,
+    window: float,
+    index_enabled: bool = False,
+    parent_ends: Sequence[Any] = (),
+) -> None:
     """One shard: an engine fed raw lines, answering barrier requests.
 
     Runs in a forked child.  The parent dying (even via ``SIGKILL`` /
     ``os._exit`` crash injection) closes the pipe, which surfaces here as
     ``EOFError``/``OSError`` — the worker exits, so crashes never strand
-    shard processes.
+    shard processes.  That needs the parent's pipe ends the fork copied in
+    (``parent_ends``) closed first: held open here, they would keep this
+    pipe, or an earlier shard's, from ever reaching EOF.
 
     With ``index_enabled`` the shard also runs a
     :class:`~repro.query.track.OriginTracker` beside the engine and ships
@@ -140,6 +139,8 @@ def _shard_worker(conn: Any, window: float, index_enabled: bool = False) -> None
     the parent's read order for that prefix, which is why a byte-range
     replay reproduces the live-built index exactly.
     """
+    for end in parent_ends:
+        end.close()
     engine = StreamEngine(window=window)
     tracker = None
     if index_enabled:
@@ -172,13 +173,7 @@ def _shard_worker(conn: Any, window: float, index_enabled: bool = False) -> None
                         )
                         if event is not None:
                             events.append(event)
-                payload: Optional[Dict[str, Any]] = None
-                if kind == "full":
-                    payload = engine.snapshot_state()
-                elif kind == "delta":
-                    payload = engine.delta_state()
-                if kind is not None:
-                    engine.mark_clean()
+                payload = capture_state(engine, kind)
                 lines, pending = pending, []
                 shipped, events = events, []
                 conn.send((lines, payload, shipped))
@@ -240,7 +235,7 @@ def _tick_day(line: bytes, path: Path) -> float:
         raise FeedError(f"{path}: malformed tick line {line!r}: {exc}") from exc
 
 
-class FeedRouter:
+class FeedRouter(_StreamDriver):
     """Fan N feeds into S shard processes under one durability domain."""
 
     def __init__(
@@ -270,65 +265,35 @@ class FeedRouter:
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
         self.feed_paths = [Path(feed) for feed in feeds]
-        self.alarms_path = Path(alarms)
-        self.checkpoint_path = None if checkpoint is None else Path(checkpoint)
         self.shards = shards
         self.window = window
         self.checkpoint_every = checkpoint_every
         self.full_every = full_every
         self.throttle = throttle
         self.max_records = max_records
-        self.checkpoints_written = 0
-        self.fulls_written = 0
-        self.deltas_written = 0
-        self._fault: Optional[FaultHook] = (
-            fault if fault is not None else fault_hook_from_env()
-        )
-        self._builder: Optional["IndexBuilder"] = None
-        if index is not None:
-            from repro.query.builder import IndexBuilder as _IndexBuilder
-
-            self._builder = _IndexBuilder(
-                index, metrics=metrics, fault=self._fault
-            )
-        self._chain: Optional[ChainWriter] = None
-        if self.checkpoint_path is not None:
-            self._chain = ChainWriter(
-                self.checkpoint_path, full_every=full_every, fault=self._fault
-            )
-        self._boundaries_since_full = 0
-        self._chain_started = False
-        self._alarm_lines = 0
-        self._alarm_bytes = 0
         self._pending: List[str] = []
         self._records_total = 0
-        self._stop_requested = False
         self._epoch: Optional[float] = None
-        self._checkpoint_seconds = 0.0
         # Quarantined timing/pacing injection points, as in StreamService.
         self._clock = clock if clock is not None else _real_clock
         self._sleeper = sleeper if sleeper is not None else _real_sleep
+        self._committer = BoundaryCommitter(
+            alarms,
+            checkpoint,
+            feeds=self.feed_paths,
+            composite=True,
+            full_every=full_every,
+            clock=self._clock,
+            metrics=metrics,
+            fault=fault,
+            index=index,
+        )
         self._m_records = None
         self._m_barriers = None
-        self._m_checkpoints = None
         if metrics is not None:
             self._m_records = metrics.counter("router.records")
             self._m_barriers = metrics.counter("router.barriers")
-            self._m_checkpoints = metrics.counter("router.checkpoints")
             metrics.gauge("router.shards").set(shards)
-
-    # -- control ---------------------------------------------------------------
-
-    def request_stop(self) -> None:
-        """Finish the in-flight day, checkpoint at its barrier, then return."""
-        self._stop_requested = True
-
-    def install_signal_handlers(self) -> None:
-        signal.signal(signal.SIGTERM, self._on_signal)
-        signal.signal(signal.SIGINT, self._on_signal)
-
-    def _on_signal(self, signum: int, frame: Optional[FrameType]) -> None:
-        self.request_stop()
 
     # -- shard lifecycle -------------------------------------------------------
 
@@ -342,7 +307,12 @@ class FeedRouter:
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=_shard_worker,
-                args=(child_conn, self.window, self._builder is not None),
+                args=(
+                    child_conn,
+                    self.window,
+                    self._committer.builder is not None,
+                    [parent_conn] + [shard.conn for shard in shards],
+                ),
                 name=f"stream-shard-{index}",
                 daemon=True,
             )
@@ -379,152 +349,49 @@ class FeedRouter:
         self._flush_buffers(shards)
         for shard in shards:
             shard.conn.send(("barrier", day, kind))
+        builder = self._committer.builder
         payloads: List[Optional[Dict[str, Any]]] = []
         for shard in shards:
             lines, payload, events = shard.conn.recv()
             self._pending.extend(lines)
             payloads.append(payload)
-            if self._builder is not None and events:
+            if builder is not None and events:
                 # Shard-index order, like the alarm lines: a prefix lives
                 # in exactly one shard, so per-prefix event order is
                 # already the parent's read order.
-                self._builder.ingest_events(events)
+                builder.ingest_events(events)
         if self._m_barriers is not None:
             self._m_barriers.inc()
         return payloads
 
     # -- checkpointing ---------------------------------------------------------
 
-    def _composite_full(
-        self, feeds: List[_RoutedFeed], payloads: List[Optional[Dict[str, Any]]]
-    ) -> Dict[str, Any]:
-        return {
-            "shard_count": self.shards,
-            "window": self.window,
-            "epoch": self._epoch,
-            "feed_offsets": [feed.byte_offset for feed in feeds],
-            "shards": payloads,
-        }
-
-    def _write_checkpoint(
+    def _commit(
         self,
         feeds: List[_RoutedFeed],
-        kind: str,
+        kind: Optional[str],
         payloads: List[Optional[Dict[str, Any]]],
     ) -> None:
-        """Flush pending alarm lines durably, then the chain record that
-        accounts them — the single transactional ordering both the service
-        and the router rely on."""
+        """Hand one boundary to the committer: the merged alarm lines and,
+        with ``kind``, the composite chain document of the shard payloads."""
+        offsets = [feed.byte_offset for feed in feeds]
+        state: Optional[Dict[str, Any]] = None
+        if kind is not None:
+            state = {"epoch": self._epoch, "feed_offsets": offsets, "shards": payloads}
+            if kind == "full":
+                state.update(shard_count=self.shards, window=self.window)
         pending, self._pending = self._pending, []
-        self._alarm_lines += len(pending)
-        self._alarm_bytes += sum(len(line.encode("utf-8")) + 1 for line in pending)
-        if pending:
-            if self._fault is not None:
-                self._fault("alarm-pre-append")
-            with self.alarms_path.open("a", encoding="utf-8") as handle:
-                for line in pending:
-                    handle.write(line + "\n")
-                handle.flush()
-                if self._fault is not None:
-                    self._fault("alarm-pre-fsync")
-                os.fsync(handle.fileno())
-            if self._fault is not None:
-                self._fault("alarm-post-fsync")
-        assert self._chain is not None
-        if kind == "full":
-            self._chain.write_full(
-                Checkpoint(
-                    offset=self._records_total,
-                    byte_offset=0,
-                    alarm_lines=self._alarm_lines,
-                    engine_state=self._composite_full(feeds, payloads),
-                    alarm_bytes=self._alarm_bytes,
-                )
-            )
-            self._boundaries_since_full = 0
-            self._chain_started = True
-            self.fulls_written += 1
-        else:
-            self._chain.append_delta(
-                offset=self._records_total,
-                byte_offset=0,
-                alarm_lines=self._alarm_lines,
-                alarm_bytes=self._alarm_bytes,
-                delta={
-                    "epoch": self._epoch,
-                    "feed_offsets": [feed.byte_offset for feed in feeds],
-                    "shards": payloads,
-                },
-            )
-            self._boundaries_since_full += 1
-            self.deltas_written += 1
-        self.checkpoints_written += 1
-        if self._m_checkpoints is not None:
-            self._m_checkpoints.inc()
-        self._commit_index(feeds, pending)
-
-    def _commit_index(
-        self, feeds: List[_RoutedFeed], pending: List[str]
-    ) -> None:
-        """Publish the index boundary — strictly after the chain write, so
-        the manifest never references records the chain hasn't made
-        durable."""
-        if self._builder is None:
-            return
-        job = self._builder.prepare_boundary(
-            {
-                "records": self._records_total,
-                "alarm_bytes": self._alarm_bytes,
-                "feed_offsets": [feed.byte_offset for feed in feeds],
-            },
-            pending,
+        self._committer.commit(
+            pending, kind, state, records=self._records_total, feed=offsets
         )
-        if job is not None:
-            self._builder.commit(job)
 
-    def _next_kind(self) -> str:
-        if (
-            not self._chain_started
-            or self._boundaries_since_full + 1 >= self.full_every
-        ):
-            return "full"
-        return "delta"
-
-    def _truncate_alarm_log(self, checkpoint: Checkpoint) -> None:
-        keep = checkpoint.alarm_bytes
-        size = self.alarms_path.stat().st_size
-        if size < keep:
-            raise CheckpointError(
-                f"alarm log {self.alarms_path} has {size} bytes but the "
-                f"checkpoint recorded {keep} durable"
-            )
-        with self.alarms_path.open("r+b") as handle:
-            if keep > 0:
-                handle.seek(keep - 1)
-                if handle.read(1) != b"\n":
-                    raise CheckpointError(
-                        f"alarm log {self.alarms_path} does not end a line "
-                        f"at byte {keep}; refusing to truncate"
-                    )
-            if size > keep:
-                handle.truncate(keep)
-                handle.flush()
-                os.fsync(handle.fileno())
-        self._alarm_bytes = keep
-
-    def _resume(
-        self, feeds: List[_RoutedFeed], shards: List[_Shard]
+    def _restore(
+        self,
+        feeds: List[_RoutedFeed],
+        shards: List[_Shard],
+        checkpoint: Checkpoint,
     ) -> None:
-        if self.checkpoint_path is None:
-            raise RouterError("resume requested but no checkpoint path configured")
-        chain = load_chain(self.checkpoint_path)
-        checkpoint = chain.checkpoint
         state = checkpoint.engine_state
-        if "shard_count" not in state:
-            raise CheckpointError(
-                f"{self.checkpoint_path} is a single-engine checkpoint, not "
-                f"a router composite"
-            )
         if int(state["shard_count"]) != self.shards:
             raise CheckpointError(
                 f"checkpoint was written by {state['shard_count']} shards, "
@@ -546,25 +413,6 @@ class FeedRouter:
             feed.seek(int(offset))
         self._epoch = state["epoch"]
         self._records_total = checkpoint.offset
-        self._alarm_lines = checkpoint.alarm_lines
-        if self.alarms_path.exists():
-            self._truncate_alarm_log(checkpoint)
-        else:
-            self.alarms_path.write_text("", encoding="utf-8")
-            fsync_parent_dir(self.alarms_path)
-            self._alarm_bytes = 0
-        assert self._chain is not None
-        self._chain.resume(chain)
-        self._boundaries_since_full = chain.seq
-        self._chain_started = True
-        if self._builder is not None:
-            end = checkpoint.index_coordinates()
-            end["alarm_bytes"] = self._alarm_bytes
-            self._builder.resume(
-                feeds=list(self.feed_paths),
-                alarms=self.alarms_path,
-                end=end,
-            )
 
     # -- the run loop ----------------------------------------------------------
 
@@ -594,8 +442,7 @@ class FeedRouter:
 
     def run(self, resume: bool = False) -> StreamSummary:
         started = self._clock()
-        if self.checkpoint_path is not None:
-            reap_stale_tmp(self.checkpoint_path)
+        committer = self._committer
         feeds = [
             _RoutedFeed(index, path)
             for index, path in enumerate(self.feed_paths)
@@ -604,19 +451,9 @@ class FeedRouter:
         stopped_early = False
         reached_eof = False
         try:
-            if resume:
-                self._resume(feeds, shards)
-            else:
-                self.alarms_path.write_text("", encoding="utf-8")
-                fsync_parent_dir(self.alarms_path)
-                self._alarm_lines = 0
-                self._alarm_bytes = 0
-                if self._builder is not None:
-                    from repro.query.builder import MODE_ROUTER
-
-                    self._builder.start_fresh(
-                        MODE_ROUTER, feed_count=len(feeds)
-                    )
+            committer.open(
+                partial(self._restore, feeds, shards) if resume else None
+            )
             applied = 0
             since_checkpoint = 0
             while True:
@@ -655,43 +492,24 @@ class FeedRouter:
                 self._records_total += 1  # the day's tick, applied fleet-wide
                 applied += 1
                 since_checkpoint += 1
-                kind: Optional[str] = None
-                if self._chain is not None and (
-                    since_checkpoint >= self.checkpoint_every
-                ):
-                    kind = self._next_kind()
+                boundary = since_checkpoint >= self.checkpoint_every
+                kind = committer.next_kind() if boundary else None
                 payloads = self._barrier(shards, day, kind)
                 self._epoch = day
                 for feed in ticking:
                     feed.pending_tick = None
-                if kind is not None:
-                    began = self._clock()
-                    self._write_checkpoint(feeds, kind, payloads)
-                    self._checkpoint_seconds += self._clock() - began
+                if boundary:
+                    self._commit(feeds, kind, payloads)
                     since_checkpoint = 0
                 if self.throttle > 0.0:
                     self._sleeper(self.throttle)
-            # Final barrier: collect remaining alarms and a full composite
-            # state, then make both durable (when a chain is configured).
+            # Final barrier: collect the remaining alarms and a full composite
+            # state (the summary needs it), committed as the closing full
+            # chain record when a chain is configured.
             final = self._barrier(shards, None, "full")
             states = [payload for payload in final if payload is not None]
-            if self._chain is not None:
-                began = self._clock()
-                self._write_checkpoint(feeds, "full", final)
-                self._checkpoint_seconds += self._clock() - began
-            elif self._pending or self._builder is not None:
-                pending, self._pending = self._pending, []
-                self._alarm_lines += len(pending)
-                self._alarm_bytes += sum(
-                    len(line.encode("utf-8")) + 1 for line in pending
-                )
-                if pending:
-                    with self.alarms_path.open("a", encoding="utf-8") as handle:
-                        for line in pending:
-                            handle.write(line + "\n")
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                self._commit_index(feeds, pending)
+            self._commit(feeds, "full" if committer.chained else None, final)
+            committer.close()
             wall = self._clock() - started
             daily = merged_daily_counts(states)
             totals: Dict[str, int] = {}
@@ -704,10 +522,10 @@ class FeedRouter:
                 offset=self._records_total,
                 alarms_emitted=sum(s["alarms_emitted"] for s in states),
                 alarm_duplicates=sum(s["alarm_duplicates"] for s in states),
-                alarm_lines=self._alarm_lines,
-                checkpoints=self.checkpoints_written,
-                checkpoint_fulls=self.fulls_written,
-                checkpoint_deltas=self.deltas_written,
+                alarm_lines=committer.alarm_lines,
+                checkpoints=committer.checkpoints,
+                checkpoint_fulls=committer.fulls,
+                checkpoint_deltas=committer.deltas,
                 moas_active=sum(s["moas_active"] for s in states),
                 state_prefixes=sum(
                     len(
@@ -721,7 +539,7 @@ class FeedRouter:
                 eof=reached_eof,
                 wall_seconds=wall,
                 events_per_sec=applied / wall if wall > 0 else 0.0,
-                checkpoint_seconds=self._checkpoint_seconds,
+                checkpoint_seconds=committer.seconds,
                 shards=self.shards,
                 alarm_totals=dict(sorted(totals.items())),
                 daily_series=list(daily.values()),
@@ -731,15 +549,8 @@ class FeedRouter:
             for feed in feeds:
                 feed.close()
 
-    # -- attribution -----------------------------------------------------------
-
-    def manifest_record(
-        self,
-        summary: StreamSummary,
-        spec: Optional[Dict[str, Any]] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> ManifestRecord:
-        base_spec: Dict[str, Any] = {
+    def _manifest_spec(self) -> Dict[str, Any]:
+        return {
             "kind": "stream-router",
             "feeds": [str(path) for path in self.feed_paths],
             "shards": self.shards,
@@ -747,14 +558,3 @@ class FeedRouter:
             "checkpoint_every": self.checkpoint_every,
             "full_every": self.full_every,
         }
-        if spec is not None:
-            base_spec.update(spec)
-        return ManifestRecord(
-            index=0,
-            seed=0,
-            spec=base_spec,
-            outcome=summary.to_dict(),
-            metrics={} if metrics is None else dict(metrics.snapshot()),
-            worker="stream-router",
-            wall_seconds=summary.wall_seconds,
-        )

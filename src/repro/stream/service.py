@@ -1,32 +1,37 @@
-"""The long-running detection service.
+"""The long-running detection service and the durability domain it shares.
 
 :class:`StreamService` tails a feed file (or FIFO) in batched reads, pushes
 every record through a :class:`~repro.stream.engine.StreamEngine`, and
-persists two artefacts:
+hands each checkpoint boundary to a :class:`BoundaryCommitter`, which
+persists the run's artefacts:
 
 * the **alarm log** — one canonical JSON line per first-seen alarm;
 * the **checkpoint chain** — a full engine snapshot plus delta-encoded
-  incremental boundaries (see :mod:`repro.stream.checkpoint`).
+  incremental boundaries (see :mod:`repro.stream.checkpoint`);
+* optionally the **query index** (see :mod:`repro.query.builder`).
 
-The two are coupled transactionally: pending alarm lines are flushed to the
-log *only* at checkpoint boundaries (and once more at a graceful stop), and
-the chain record written immediately after states how many lines — and
-bytes — are durable.  A service killed at an arbitrary point therefore
-leaves an alarm log whose durable prefix is named by the last durable chain
-record, and a resume — which replays the chain, rolls the log back with a
-single ``os.truncate`` to the recorded byte offset, and seeks the feed to
-the recorded byte offset — continues producing exactly the remaining lines.
-Concatenating the two runs' logs reproduces the uninterrupted log byte for
-byte; ``tests/test_stream_service.py``, the fault-injection suite in
-``tests/test_stream_faults.py`` and the ``stream-smoke`` CI job hold that
-property.
+The committer is the only code that writes any of them, for this service
+and for the sharded :class:`~repro.stream.router.FeedRouter` alike.  The
+three are coupled transactionally: pending alarm lines reach the log *only*
+at boundaries (and once more at a graceful stop), and the chain record
+written immediately after states how many lines — and bytes — are durable;
+the index manifest comes last.  A run killed at an arbitrary point
+therefore leaves an alarm log whose durable prefix is named by the last
+durable chain record, and a resume — which replays the chain, rolls the
+log back with a single truncate to the recorded byte offset, and seeks
+the feed to the recorded byte offset — continues producing exactly the
+remaining lines.  Concatenating the two runs' logs reproduces the
+uninterrupted log byte for byte; ``tests/test_stream_service.py``, the
+fault-injection suite in ``tests/test_stream_faults.py`` and the
+``stream-smoke`` CI job hold that property.
 
 Serialisation is **double-buffered off the ingest path**: at a boundary the
 service captures the (cheap, delta-encoded) payload synchronously, then
-hands the alarm flush + chain append to a background writer thread; ingest
-only blocks when two boundaries are already in flight.  Ordering is
-preserved by the queue, so the durability invariants are exactly those of
-the synchronous path — ``async_io=False`` forces inline writes for tests.
+the committer hands the alarm flush + chain append to a background writer
+thread; ingest only blocks when two boundaries are already in flight.
+Ordering is preserved by the queue, so the durability invariants are
+exactly those of the synchronous path — ``async_io=False`` forces inline
+writes for tests.
 
 Wall time never steers detection: the loop takes an injectable ``clock``
 (throughput/latency measurement only — quarantined like every other timing
@@ -44,6 +49,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from types import FrameType
 from typing import (
@@ -54,6 +60,7 @@ from typing import (
     Dict,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -67,6 +74,7 @@ from repro.stream.checkpoint import (
     Checkpoint,
     CheckpointError,
     FaultHook,
+    _no_fault,
     load_chain,
     reap_stale_tmp,
 )
@@ -206,15 +214,14 @@ class StreamSummary:
         }
 
 
-#: One boundary's durable work: alarm lines to append, then (optionally)
-#: one chain write — a full Checkpoint or a delta record's fields — then
-#: (optionally) one prepared index segment+manifest publish, strictly last
-#: so the index commit point can never get ahead of the chain.
+#: One boundary's durable work, in commit order: alarm lines to append,
+#: then at most one chain record — a full Checkpoint or a delta record's
+#: fields — then (optionally) one prepared index segment+manifest publish,
+#: strictly last so the index commit point can never get ahead of the chain.
 _WriterTask = Tuple[
     List[str],
-    Optional[str],
     Optional[Checkpoint],
-    Dict[str, Any],
+    Optional[Dict[str, Any]],
     Optional["IndexJob"],
 ]
 
@@ -269,7 +276,343 @@ class _WriterPump:
         self._check()
 
 
-class StreamService:
+def capture_state(
+    engine: StreamEngine, kind: Optional[str]
+) -> Optional[Dict[str, Any]]:
+    """An engine's payload for a boundary of ``kind`` (as named by
+    :meth:`BoundaryCommitter.next_kind`): a full snapshot, a delta since
+    the previous boundary, or nothing without a chain."""
+    if kind is None:
+        return None
+    state = engine.snapshot_state() if kind == "full" else engine.delta_state()
+    engine.mark_clean()
+    return state
+
+
+class BoundaryCommitter:
+    """The stream pipeline's one durability domain.
+
+    Owns a run's alarm log, checkpoint chain and optional query index, for
+    the single-engine :class:`StreamService` (``composite=False``, one
+    feed) and the sharded router (``composite=True``) alike.  A driver
+    calls :meth:`open` once, then :meth:`commit` once per boundary with the
+    alarm lines since the previous one and the engine payload of the kind
+    :meth:`next_kind` named, then :meth:`close`.  Every boundary is written
+    in the one order resume relies on — alarm lines appended and fsynced,
+    then the chain record that accounts for them, then the index manifest —
+    inline, or on a background :class:`_WriterPump` with ``async_io``.
+    """
+
+    def __init__(
+        self,
+        alarms: Union[str, Path],
+        checkpoint: Optional[Union[str, Path]],
+        *,
+        feeds: Sequence[Path],
+        composite: bool,
+        full_every: int,
+        clock: Callable[[], float],
+        metrics: Optional[MetricsRegistry] = None,
+        fault: Optional[FaultHook] = None,
+        index: Optional[Union[str, Path]] = None,
+        async_io: bool = False,
+    ) -> None:
+        if full_every < 1:
+            raise ValueError(f"full_every must be >= 1, got {full_every}")
+        self.alarms_path = Path(alarms)
+        self.checkpoint_path = None if checkpoint is None else Path(checkpoint)
+        self.full_every = full_every
+        self._feeds = list(feeds)
+        self._composite = composite
+        self._clock = clock
+        self._async_io = async_io
+        self._fault: FaultHook = fault or fault_hook_from_env() or _no_fault
+        self._chain: Optional[ChainWriter] = None
+        if self.checkpoint_path is not None:
+            self._chain = ChainWriter(self.checkpoint_path, fault=self._fault)
+        self.builder: Optional["IndexBuilder"] = None
+        if index is not None:
+            from repro.query.builder import IndexBuilder as _IndexBuilder
+
+            self.builder = _IndexBuilder(index, metrics=metrics, fault=self._fault)
+        self._pump: Optional[_WriterPump] = None
+        self._since_full = 0
+        self._chain_started = False
+        self.alarm_lines = 0
+        self.alarm_bytes = 0
+        self.checkpoints = 0
+        self.fulls = 0
+        self.deltas = 0
+        self.seconds = 0.0
+        self._m_checkpoints: Optional[Counter] = None
+        self._m_fulls: Optional[Counter] = None
+        self._m_deltas: Optional[Counter] = None
+        if metrics is not None:
+            self._m_checkpoints = metrics.counter("stream.checkpoints")
+            self._m_fulls = metrics.counter("stream.checkpoint_fulls")
+            self._m_deltas = metrics.counter("stream.checkpoint_deltas")
+
+    @property
+    def chained(self) -> bool:
+        """Whether boundaries write chain records (a checkpoint path is set)."""
+        return self._chain is not None
+
+    # -- start -----------------------------------------------------------------
+
+    def open(self, restore: Optional[Callable[[Checkpoint], None]] = None) -> None:
+        """Start fresh (``restore`` is None) or resume from the chain tip.
+
+        On resume, ``restore`` receives the tip once its document kind is
+        checked; it rebuilds the driver's engine state and seeks its feeds
+        (raising :class:`CheckpointError` to refuse) before the alarm log,
+        the chain and the index are rolled to the same boundary.
+        """
+        if self.checkpoint_path is not None:
+            # A crash mid-write strands `<name>*.tmp` files that nothing
+            # would ever collect; sweep them before touching the chain.
+            reap_stale_tmp(self.checkpoint_path)
+        if restore is not None:
+            self._resume(restore)
+        else:
+            # Fresh run: start the alarm log empty so reruns never append
+            # to a stale log.
+            self.alarm_lines = 0
+            self._reset_log()
+            if self.builder is not None:
+                from repro.query.builder import MODE_ROUTER, MODE_SINGLE
+
+                self.builder.start_fresh(
+                    MODE_ROUTER if self._composite else MODE_SINGLE,
+                    feed_count=len(self._feeds),
+                )
+        if self._async_io:
+            self._pump = _WriterPump(self._execute)
+
+    def _reset_log(self) -> None:
+        """Empty (or create) the alarm log; the directory fsync makes a new
+        log file itself survive a crash."""
+        self.alarms_path.write_text("", encoding="utf-8")
+        fsync_parent_dir(self.alarms_path)
+        self.alarm_bytes = 0
+
+    def _resume(self, restore: Callable[[Checkpoint], None]) -> None:
+        if self.checkpoint_path is None or self._chain is None:
+            raise ValueError("resume requested but no checkpoint path configured")
+        chain = load_chain(self.checkpoint_path)
+        checkpoint = chain.checkpoint
+        kinds = ("single-engine", "router composite")
+        found = kinds["shard_count" in checkpoint.engine_state]
+        wanted = kinds[self._composite]
+        if found != wanted:
+            raise CheckpointError(
+                f"{self.checkpoint_path} is a {found} checkpoint, not a "
+                f"{wanted} one"
+            )
+        restore(checkpoint)
+        self.alarm_lines = checkpoint.alarm_lines
+        if self.alarms_path.exists():
+            self._truncate_log(checkpoint.alarm_bytes)
+        else:
+            # Resuming onto a fresh log path: it receives only the lines the
+            # uninterrupted run would emit after the checkpoint.
+            self._reset_log()
+        self._chain.resume(chain)
+        self._since_full = chain.seq
+        self._chain_started = True
+        if self.builder is not None:
+            # The index catches up to what is durable in *this* log file.
+            end = checkpoint.index_coordinates()
+            end["alarm_bytes"] = self.alarm_bytes
+            self.builder.resume(feeds=self._feeds, alarms=self.alarms_path, end=end)
+
+    def _truncate_log(self, keep: int) -> None:
+        """Roll the log back to the chain's durable prefix of ``keep`` bytes.
+
+        Bytes past it were flushed for a boundary whose chain record never
+        became durable, and will be re-emitted.  The rollback is one
+        truncate — a single syscall, safe to die during and idempotent to
+        repeat.
+        """
+        size = self.alarms_path.stat().st_size
+        if size < keep:
+            raise CheckpointError(
+                f"alarm log {self.alarms_path} has {size} bytes but the "
+                f"checkpoint recorded {keep} durable"
+            )
+        with self.alarms_path.open("r+b") as handle:
+            if keep > 0:
+                handle.seek(keep - 1)
+                if handle.read(1) != b"\n":
+                    raise CheckpointError(
+                        f"alarm log {self.alarms_path} does not end a line at "
+                        f"byte {keep}; refusing to truncate"
+                    )
+            self._fault("truncate-pre")
+            if size > keep:
+                handle.truncate(keep)
+                handle.flush()
+                os.fsync(handle.fileno())
+            self._fault("truncate-post")
+        self.alarm_bytes = keep
+
+    # -- boundaries ------------------------------------------------------------
+
+    def next_kind(self) -> Optional[str]:
+        """The chain record the next boundary writes: ``"full"`` (the first,
+        then every ``full_every``-th — compaction), ``"delta"``, or None
+        without a chain."""
+        if self._chain is None:
+            return None
+        if not self._chain_started or self._since_full + 1 >= self.full_every:
+            return "full"
+        return "delta"
+
+    def commit(
+        self,
+        lines: List[str],
+        kind: Optional[str],
+        state: Optional[Dict[str, Any]],
+        *,
+        records: int,
+        feed: Union[int, List[int]],
+    ) -> None:
+        """Make one boundary durable.
+
+        ``lines`` are the alarm lines since the previous boundary, ``state``
+        the engine payload of ``kind`` (see :func:`capture_state`),
+        ``records`` the feed records applied so far and ``feed`` the feed
+        cursor: a byte offset, or one per vantage feed when composite.
+        """
+        began = self._clock()
+        self.alarm_lines += len(lines)
+        self.alarm_bytes += sum(len(line.encode("utf-8")) + 1 for line in lines)
+        byte_offset = 0 if isinstance(feed, list) else feed
+        full: Optional[Checkpoint] = None
+        delta: Optional[Dict[str, Any]] = None
+        if kind == "full":
+            assert state is not None
+            full = Checkpoint(
+                offset=records,
+                byte_offset=byte_offset,
+                alarm_lines=self.alarm_lines,
+                engine_state=state,
+                alarm_bytes=self.alarm_bytes,
+            )
+            self._since_full = 0
+            self._chain_started = True
+            self.fulls += 1
+            if self._m_fulls is not None:
+                self._m_fulls.inc()
+        elif kind == "delta":
+            assert state is not None
+            delta = {
+                "offset": records,
+                "byte_offset": byte_offset,
+                "alarm_lines": self.alarm_lines,
+                "alarm_bytes": self.alarm_bytes,
+                "delta": state,
+            }
+            self._since_full += 1
+            self.deltas += 1
+            if self._m_deltas is not None:
+                self._m_deltas.inc()
+        if kind is not None:
+            self.checkpoints += 1
+            if self._m_checkpoints is not None:
+                self._m_checkpoints.inc()
+        job: Optional["IndexJob"] = None
+        if self.builder is not None:
+            cursor = "feed_offsets" if isinstance(feed, list) else "feed_bytes"
+            job = self.builder.prepare_boundary(
+                {"records": records, "alarm_bytes": self.alarm_bytes, cursor: feed},
+                lines,
+            )
+        task: _WriterTask = (lines, full, delta, job)
+        if self._pump is not None:
+            self._pump.submit(task)
+        else:
+            self._execute(task)
+        self.seconds += self._clock() - began
+
+    def _execute(self, task: _WriterTask) -> None:
+        """One boundary's durable work (writer thread, or inline)."""
+        lines, full, delta, job = task
+        if lines:
+            self._fault("alarm-pre-append")
+            with self.alarms_path.open("a", encoding="utf-8") as handle:
+                for line in lines:
+                    handle.write(line + "\n")
+                handle.flush()
+                self._fault("alarm-pre-fsync")
+                os.fsync(handle.fileno())
+            self._fault("alarm-post-fsync")
+        if full is not None:
+            assert self._chain is not None
+            self._chain.write_full(full)
+        elif delta is not None:
+            assert self._chain is not None
+            self._chain.append_delta(**delta)
+        if job is not None:
+            # Strictly after the chain write: the manifest (the index's
+            # commit point) must never reference a boundary the chain has
+            # not made durable.
+            assert self.builder is not None
+            self.builder.commit(job)
+
+    def close(self) -> None:
+        """Drain the writer pump, surfacing any latched write failure."""
+        if self._pump is not None:
+            pump, self._pump = self._pump, None
+            began = self._clock()
+            pump.close()
+            self.seconds += self._clock() - began
+
+
+class _StreamDriver:
+    """What the two ingest loops share besides their committer: a graceful
+    stop and the run's manifest line."""
+
+    _stop_requested = False
+
+    def request_stop(self) -> None:
+        """Finish the in-flight batch (the router: day), commit its
+        boundary, then return."""
+        self._stop_requested = True
+
+    def install_signal_handlers(self) -> None:
+        """SIGTERM/SIGINT -> graceful stop (main thread only)."""
+        signal.signal(signal.SIGTERM, self._on_signal)
+        signal.signal(signal.SIGINT, self._on_signal)
+
+    def _on_signal(self, signum: int, frame: Optional[FrameType]) -> None:
+        self.request_stop()
+
+    def _manifest_spec(self) -> Dict[str, Any]:
+        raise NotImplementedError
+
+    def manifest_record(
+        self,
+        summary: StreamSummary,
+        spec: Optional[Dict[str, Any]] = None,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> ManifestRecord:
+        """The run's single manifest line (timing under quarantined keys)."""
+        base_spec = self._manifest_spec()
+        worker = base_spec["kind"]
+        if spec is not None:
+            base_spec.update(spec)
+        return ManifestRecord(
+            index=0,
+            seed=0,
+            spec=base_spec,
+            outcome=summary.to_dict(),
+            metrics={} if metrics is None else dict(metrics.snapshot()),
+            worker=worker,
+            wall_seconds=summary.wall_seconds,
+        )
+
+
+class StreamService(_StreamDriver):
     """Tail a feed, detect online, checkpoint incrementally, survive kills."""
 
     def __init__(
@@ -299,11 +642,7 @@ class StreamService:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
-        if full_every < 1:
-            raise ValueError(f"full_every must be >= 1, got {full_every}")
         self.feed_path = Path(feed)
-        self.alarms_path = Path(alarms)
-        self.checkpoint_path = None if checkpoint is None else Path(checkpoint)
         self.engine = StreamEngine(window=window, metrics=metrics)
         self.batch_size = batch_size
         self.checkpoint_every = checkpoint_every
@@ -312,83 +651,31 @@ class StreamService:
         self.poll_interval = poll_interval
         self.throttle = throttle
         self.max_records = max_records
-        self.checkpoints_written = 0
-        self.fulls_written = 0
-        self.deltas_written = 0
-        self._fault: Optional[FaultHook] = (
-            fault if fault is not None else fault_hook_from_env()
-        )
-        self._builder: Optional["IndexBuilder"] = None
-        if index is not None:
-            from repro.query.builder import IndexBuilder as _IndexBuilder
-
-            self._builder = _IndexBuilder(
-                index, metrics=metrics, fault=self._fault
-            )
-        self._chain: Optional[ChainWriter] = None
-        if self.checkpoint_path is not None:
-            self._chain = ChainWriter(
-                self.checkpoint_path,
-                full_every=full_every,
-                fault=self._fault,
-            )
-        self._boundaries_since_full = 0
-        self._chain_started = False
-        self._alarm_lines = 0
-        self._alarm_bytes = 0
         self._pending: List[str] = []
-        self._stop_requested = False
         self._clock = clock if clock is not None else _real_clock
         self._sleeper = sleeper if sleeper is not None else _real_sleep
-        self._async_io = async_io
-        self._pump: Optional[_WriterPump] = None
-        self._checkpoint_seconds = 0.0
-        self._m_checkpoints: Optional[Counter] = None
-        self._m_fulls: Optional[Counter] = None
-        self._m_deltas: Optional[Counter] = None
-        if metrics is not None:
-            self._m_checkpoints = metrics.counter("stream.checkpoints")
-            self._m_fulls = metrics.counter("stream.checkpoint_fulls")
-            self._m_deltas = metrics.counter("stream.checkpoint_deltas")
-
-    # -- control ---------------------------------------------------------------
-
-    def request_stop(self) -> None:
-        """Finish the in-flight batch, flush + checkpoint, then return."""
-        self._stop_requested = True
-
-    def install_signal_handlers(self) -> None:
-        """SIGTERM/SIGINT -> graceful stop (main thread only)."""
-        signal.signal(signal.SIGTERM, self._on_signal)
-        signal.signal(signal.SIGINT, self._on_signal)
-
-    def _on_signal(self, signum: int, frame: Optional[FrameType]) -> None:
-        self.request_stop()
+        self._committer = BoundaryCommitter(
+            alarms,
+            checkpoint,
+            feeds=[self.feed_path],
+            composite=False,
+            full_every=full_every,
+            clock=self._clock,
+            metrics=metrics,
+            fault=fault,
+            index=index,
+            async_io=async_io,
+        )
 
     # -- the run loop -----------------------------------------------------------
 
     def run(self, resume: bool = False) -> StreamSummary:
         started = self._clock()
-        if self.checkpoint_path is not None:
-            # A crash mid-write strands `<name>*.tmp` files that nothing
-            # would ever collect; sweep them before touching the chain.
-            reap_stale_tmp(self.checkpoint_path)
+        committer = self._committer
         tailer = FeedTailer(self.feed_path)
-        if self._async_io:
-            self._pump = _WriterPump(self._execute_boundary)
         try:
-            if resume:
-                self._resume(tailer)
-            else:
-                # Fresh run: start the alarm log empty so reruns never append
-                # to a stale log; directory-fsync so the (possibly new) log
-                # file itself survives a crash.
-                self.alarms_path.write_text("", encoding="utf-8")
-                fsync_parent_dir(self.alarms_path)
-                self._alarm_lines = 0
-                self._alarm_bytes = 0
-                if self._builder is not None:
-                    self._builder.start_fresh()
+            committer.open(partial(self._restore, tailer) if resume else None)
+            builder = committer.builder
             applied = 0
             since_checkpoint = 0
             reached_eof = False
@@ -408,29 +695,29 @@ class StreamService:
                 for record in batch:
                     for alarm in self.engine.apply(record):
                         self._pending.append(alarm.to_json_line())
-                    if self._builder is not None:
-                        self._builder.observe(record)
+                    if builder is not None:
+                        builder.observe(record)
                 applied += len(batch)
                 since_checkpoint += len(batch)
                 if self.throttle > 0.0:
                     self._sleeper(self.throttle)
                 if since_checkpoint >= self.checkpoint_every:
-                    self._flush_and_checkpoint(tailer)
+                    self._commit(tailer)
                     since_checkpoint = 0
             # Graceful exit: whatever stopped us, leave the log and
             # checkpoint agreeing on a resumable record boundary.
-            self._flush_and_checkpoint(tailer)
-            self._drain_pump()
+            self._commit(tailer)
+            committer.close()
             wall = self._clock() - started
             return StreamSummary(
                 records=applied,
                 offset=self.engine.offset,
                 alarms_emitted=self.engine.alarms_emitted,
                 alarm_duplicates=self.engine.alarm_duplicates,
-                alarm_lines=self._alarm_lines,
-                checkpoints=self.checkpoints_written,
-                checkpoint_fulls=self.fulls_written,
-                checkpoint_deltas=self.deltas_written,
+                alarm_lines=committer.alarm_lines,
+                checkpoints=committer.checkpoints,
+                checkpoint_fulls=committer.fulls,
+                checkpoint_deltas=committer.deltas,
                 moas_active=self.engine.moas_active,
                 state_prefixes=self.engine.state_prefixes,
                 days_ticked=len(self.engine.daily_counts),
@@ -438,220 +725,38 @@ class StreamService:
                 eof=reached_eof,
                 wall_seconds=wall,
                 events_per_sec=applied / wall if wall > 0 else 0.0,
-                checkpoint_seconds=self._checkpoint_seconds,
+                checkpoint_seconds=committer.seconds,
                 alarm_totals=self.engine.alarm_totals(),
                 daily_series=self.engine.daily_series(),
             )
         finally:
             try:
-                self._drain_pump()
+                committer.close()
             finally:
                 tailer.close()
 
-    def _drain_pump(self) -> None:
-        if self._pump is not None:
-            pump, self._pump = self._pump, None
-            began = self._clock()
-            pump.close()
-            self._checkpoint_seconds += self._clock() - began
-
-    # -- checkpointing ----------------------------------------------------------
-
-    def _resume(self, tailer: FeedTailer) -> None:
-        if self.checkpoint_path is None:
-            raise ValueError("resume requested but no checkpoint path configured")
-        chain = load_chain(self.checkpoint_path)
-        checkpoint = chain.checkpoint
+    def _restore(self, tailer: FeedTailer, checkpoint: Checkpoint) -> None:
         self.engine.restore_state(checkpoint.engine_state)
         if checkpoint.offset != self.engine.offset:
             raise CheckpointError(
                 f"checkpoint offset {checkpoint.offset} disagrees with its "
                 f"engine state offset {self.engine.offset}"
             )
-        self._alarm_lines = checkpoint.alarm_lines
-        if self.alarms_path.exists():
-            self._truncate_alarm_log(checkpoint)
-        else:
-            # Resuming onto a fresh log path: it receives only the lines the
-            # uninterrupted run would emit after the checkpoint.
-            self.alarms_path.write_text("", encoding="utf-8")
-            fsync_parent_dir(self.alarms_path)
-            self._alarm_bytes = 0
-        assert self._chain is not None  # checkpoint_path implies a chain
-        self._chain.resume(chain)
-        self._boundaries_since_full = chain.seq
-        self._chain_started = True
         tailer.seek(checkpoint.byte_offset)
-        if self._builder is not None:
-            end = checkpoint.index_coordinates()
-            # The truncation above may have corrected v1-era byte
-            # accounting; the index must catch up to what is actually
-            # durable in *this* log file.
-            end["alarm_bytes"] = self._alarm_bytes
-            self._builder.resume(
-                feeds=[self.feed_path], alarms=self.alarms_path, end=end
-            )
 
-    def _truncate_alarm_log(self, checkpoint: Checkpoint) -> None:
-        """Roll the log back to the checkpoint's durable prefix.
-
-        Robust against a crash that landed between the alarm flush and the
-        chain write: any bytes past the recorded durable length were
-        flushed for a boundary that never became durable, and will be
-        re-emitted.  The rollback itself is one ``os.truncate`` — a single
-        atomic syscall, safe to die during and idempotent to repeat —
-        replacing the old read-all-lines-and-rewrite (which a crash could
-        leave half-written, silently corrupting the log).
-        """
-        keep_bytes = checkpoint.alarm_bytes
-        if keep_bytes == 0 and checkpoint.alarm_lines > 0:
-            # v1-era checkpoint without byte accounting: locate the byte
-            # offset of the recorded line count, then truncate atomically.
-            keep_bytes = self._line_byte_offset(checkpoint.alarm_lines)
-        size = self.alarms_path.stat().st_size
-        if size < keep_bytes:
-            raise CheckpointError(
-                f"alarm log {self.alarms_path} has {size} bytes but the "
-                f"checkpoint recorded {keep_bytes} durable"
-            )
-        with self.alarms_path.open("r+b") as handle:
-            if keep_bytes > 0:
-                handle.seek(keep_bytes - 1)
-                if handle.read(1) != b"\n":
-                    raise CheckpointError(
-                        f"alarm log {self.alarms_path} does not end a line at "
-                        f"byte {keep_bytes}; refusing to truncate"
-                    )
-            if self._fault is not None:
-                self._fault("truncate-pre")
-            if size > keep_bytes:
-                handle.truncate(keep_bytes)
-                handle.flush()
-                os.fsync(handle.fileno())
-            if self._fault is not None:
-                self._fault("truncate-post")
-        self._alarm_bytes = keep_bytes
-
-    def _line_byte_offset(self, lines: int) -> int:
-        """Byte offset just past line ``lines`` of the alarm log."""
-        offset = 0
-        seen = 0
-        with self.alarms_path.open("rb") as handle:
-            for line in handle:
-                seen += 1
-                offset += len(line)
-                if seen == lines:
-                    return offset
-        raise CheckpointError(
-            f"alarm log {self.alarms_path} has {seen} lines but the "
-            f"checkpoint recorded {lines}"
+    def _commit(self, tailer: FeedTailer) -> None:
+        kind = self._committer.next_kind()
+        pending, self._pending = self._pending, []
+        self._committer.commit(
+            pending,
+            kind,
+            capture_state(self.engine, kind),
+            records=self.engine.offset,
+            feed=tailer.byte_offset,
         )
 
-    def _flush_and_checkpoint(self, tailer: FeedTailer) -> None:
-        began = self._clock()
-        pending, self._pending = self._pending, []
-        self._alarm_lines += len(pending)
-        self._alarm_bytes += sum(len(line.encode("utf-8")) + 1 for line in pending)
-        kind: Optional[str] = None
-        checkpoint: Optional[Checkpoint] = None
-        delta: Dict[str, Any] = {}
-        if self._chain is not None:
-            if (
-                not self._chain_started
-                or self._boundaries_since_full + 1 >= self.full_every
-            ):
-                kind = "full"
-                checkpoint = Checkpoint(
-                    offset=self.engine.offset,
-                    byte_offset=tailer.byte_offset,
-                    alarm_lines=self._alarm_lines,
-                    engine_state=self.engine.snapshot_state(),
-                    alarm_bytes=self._alarm_bytes,
-                )
-                self._boundaries_since_full = 0
-                self._chain_started = True
-                self.fulls_written += 1
-                if self._m_fulls is not None:
-                    self._m_fulls.inc()
-            else:
-                kind = "delta"
-                delta = {
-                    "offset": self.engine.offset,
-                    "byte_offset": tailer.byte_offset,
-                    "alarm_lines": self._alarm_lines,
-                    "alarm_bytes": self._alarm_bytes,
-                    "delta": self.engine.delta_state(),
-                }
-                self._boundaries_since_full += 1
-                self.deltas_written += 1
-                if self._m_deltas is not None:
-                    self._m_deltas.inc()
-            self.engine.mark_clean()
-            self.checkpoints_written += 1
-            if self._m_checkpoints is not None:
-                self._m_checkpoints.inc()
-        job: Optional["IndexJob"] = None
-        if self._builder is not None:
-            job = self._builder.prepare_boundary(
-                {
-                    "records": self.engine.offset,
-                    "alarm_bytes": self._alarm_bytes,
-                    "feed_bytes": tailer.byte_offset,
-                },
-                pending,
-            )
-        task: _WriterTask = (pending, kind, checkpoint, delta, job)
-        if self._pump is not None:
-            self._pump.submit(task)
-        else:
-            self._execute_boundary(task)
-        self._checkpoint_seconds += self._clock() - began
-
-    def _execute_boundary(self, task: _WriterTask) -> None:
-        """One boundary's durable work (writer thread, or inline when sync)."""
-        pending, kind, checkpoint, delta, job = task
-        if pending:
-            if self._fault is not None:
-                self._fault("alarm-pre-append")
-            with self.alarms_path.open("a", encoding="utf-8") as handle:
-                for line in pending:
-                    handle.write(line + "\n")
-                handle.flush()
-                if self._fault is not None:
-                    self._fault("alarm-pre-fsync")
-                os.fsync(handle.fileno())
-            if self._fault is not None:
-                self._fault("alarm-post-fsync")
-        if kind is not None:
-            assert self._chain is not None
-            if kind == "full":
-                assert checkpoint is not None
-                self._chain.write_full(checkpoint)
-            else:
-                self._chain.append_delta(
-                    offset=delta["offset"],
-                    byte_offset=delta["byte_offset"],
-                    alarm_lines=delta["alarm_lines"],
-                    alarm_bytes=delta["alarm_bytes"],
-                    delta=delta["delta"],
-                )
-        if job is not None:
-            # Strictly after the chain write: the manifest (the index's
-            # commit point) must never reference a boundary the chain has
-            # not made durable.
-            assert self._builder is not None
-            self._builder.commit(job)
-
-    # -- attribution -------------------------------------------------------------
-
-    def manifest_record(
-        self,
-        summary: StreamSummary,
-        spec: Optional[Dict[str, Any]] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> ManifestRecord:
-        """The run's single manifest line (timing under quarantined keys)."""
-        base_spec: Dict[str, Any] = {
+    def _manifest_spec(self) -> Dict[str, Any]:
+        return {
             "kind": "stream",
             "feed": str(self.feed_path),
             "window": self.engine.window,
@@ -659,14 +764,3 @@ class StreamService:
             "checkpoint_every": self.checkpoint_every,
             "full_every": self.full_every,
         }
-        if spec is not None:
-            base_spec.update(spec)
-        return ManifestRecord(
-            index=0,
-            seed=0,
-            spec=base_spec,
-            outcome=summary.to_dict(),
-            metrics={} if metrics is None else dict(metrics.snapshot()),
-            worker="stream",
-            wall_seconds=summary.wall_seconds,
-        )

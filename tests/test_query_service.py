@@ -183,6 +183,19 @@ class TestRouterIndex:
             [trace_feed], alarms
         )
 
+    def test_chainless_router_index_commits_per_boundary(
+        self, tmp_path, trace_feed
+    ):
+        alarms = tmp_path / "alarms.log"
+        FeedRouter(
+            [trace_feed], alarms, shards=2, checkpoint_every=400,
+            index=tmp_path / "idx",
+        ).run()
+        assert len(load_manifest(tmp_path / "idx")["segments"]) > 1
+        assert index_answers(tmp_path / "idx") == scan_answers(
+            [trace_feed], alarms
+        )
+
     def test_multi_feed_router_index_matches_scan(self, tmp_path):
         feed_a = tmp_path / "feed_a.jsonl"
         feed_b = tmp_path / "feed_b.jsonl"

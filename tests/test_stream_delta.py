@@ -3,7 +3,8 @@
 Two layers: the pure state algebra (``repro.stream.delta`` must fold an
 engine delta into a prior snapshot and reproduce ``snapshot_state``
 bit-for-bit), and the chain writer/loader (compaction, torn tails,
-corruption refusal, stale-temp reaping).
+corruption refusal, stale-temp reaping) with the committer's full/delta
+cadence.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.net.addresses import Prefix
 from repro.stream.delta import apply_engine_delta, apply_state_delta
 from repro.stream.engine import StreamEngine
 from repro.stream.feed import OP_ANNOUNCE, FeedRecord, snapshot_deltas
+from repro.stream.service import BoundaryCommitter
 
 TRACE_CONFIG = TraceConfig(
     days=30,
@@ -229,7 +231,7 @@ def make_checkpoint(offset, **state):
 class TestChainWriter:
     def test_full_then_deltas_replay_to_tip(self, tmp_path):
         path = tmp_path / "cp.json"
-        writer = ChainWriter(path, full_every=10)
+        writer = ChainWriter(path)
         writer.write_full(make_checkpoint(100))
         for offset in (150, 200, 250):
             writer.append_delta(
@@ -266,7 +268,7 @@ class TestChainWriter:
 
     def test_compaction_resets_the_delta_file(self, tmp_path):
         path = tmp_path / "cp.json"
-        writer = ChainWriter(path, full_every=2)
+        writer = ChainWriter(path)
         writer.write_full(make_checkpoint(1))
         writer.append_delta(
             offset=2, byte_offset=20, alarm_lines=0, alarm_bytes=0,
@@ -274,12 +276,48 @@ class TestChainWriter:
                    "alarms_emitted": 0, "alarm_duplicates": 0, "evictions": 0,
                    "days": [], "origins": [], "observed": [], "activity": [], "alarms": []},
         )
-        assert writer.wants_full()
         writer.write_full(make_checkpoint(3))
         assert delta_path_for(path).read_bytes() == b""
         chain = load_chain(path)
         assert chain.seq == 0
         assert chain.checkpoint.offset == 3
+
+    def test_committer_compacts_every_full_every_boundaries(self, tmp_path):
+        empty_delta = {
+            "window": 30.0, "moas_active": 0, "alarms_emitted": 0,
+            "alarm_duplicates": 0, "evictions": 0, "days": [], "origins": [],
+            "observed": [], "activity": [], "alarms": [],
+        }
+
+        def committer():
+            return BoundaryCommitter(
+                tmp_path / "alarms.jsonl", tmp_path / "cp.json",
+                feeds=[tmp_path / "feed.jsonl"], composite=False,
+                full_every=3, clock=lambda: 0.0,
+            )
+
+        def commit(target, offset):
+            kind = target.next_kind()
+            state = (
+                make_checkpoint(offset).engine_state if kind == "full"
+                else dict(empty_delta, offset=offset)
+            )
+            target.commit([], kind, state, records=offset, feed=offset * 10)
+            return kind
+
+        first = committer()
+        first.open()
+        kinds = [commit(first, offset) for offset in range(1, 6)]
+        assert kinds == ["full", "delta", "delta", "full", "delta"]
+        assert (first.fulls, first.deltas, first.checkpoints) == (2, 3, 5)
+        # A resumed committer continues the cadence from the chain's
+        # sequence number: one more delta, then the compacting full.
+        resumed = committer()
+        resumed.open(restore=lambda checkpoint: None)
+        assert [commit(resumed, offset) for offset in (6, 7)] == [
+            "delta", "full",
+        ]
+        assert load_chain(tmp_path / "cp.json").checkpoint.offset == 7
 
     def test_torn_tail_is_dropped_and_resumable(self, tmp_path):
         path = tmp_path / "cp.json"
@@ -363,7 +401,7 @@ class TestChainWriter:
         with pytest.raises(CheckpointError, match="rewinds offset"):
             load_chain(path)
 
-    def test_v1_checkpoint_still_loads(self, tmp_path):
+    def test_v1_checkpoint_refused(self, tmp_path):
         path = tmp_path / "cp.json"
         document = {
             "format": "repro-stream-checkpoint",
@@ -374,9 +412,8 @@ class TestChainWriter:
             "engine": make_checkpoint(7).engine_state,
         }
         path.write_text(json.dumps(document, sort_keys=True))
-        loaded = load_checkpoint(path)
-        assert loaded.offset == 7
-        assert loaded.alarm_bytes == 0  # pre-chain era: no byte accounting
+        with pytest.raises(CheckpointError, match="version 1"):
+            load_checkpoint(path)
 
     def test_reap_stale_tmp(self, tmp_path):
         path = tmp_path / "cp.json"

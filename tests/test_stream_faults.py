@@ -3,8 +3,9 @@
 The matrix kills the writer at every durability fault point — before an
 fsync, after an fsync but before the atomic rename, mid-delta-append,
 between the alarm flush and its chain record, and during the resume-time
-log truncation — and proves the service either replays cleanly to a
-bit-identical alarm log or refuses with :class:`CheckpointError`.  Never a
+log truncation — and proves that both drivers of the one boundary
+committer, the service and a 2-shard router, either replay cleanly to a
+bit-identical alarm log or refuse with :class:`CheckpointError`.  Never a
 silent divergence.
 
 In-process cases drive the synchronous writer (``async_io=False``) with a
@@ -24,6 +25,7 @@ import pytest
 from repro.measurement.trace import FaultSpike, TraceConfig, TraceGenerator
 from repro.stream.checkpoint import CheckpointError, delta_path_for
 from repro.stream.feed import FeedWriter, snapshot_deltas
+from repro.stream.router import FeedRouter
 from repro.stream.service import FAULT_EXIT_CODE, StreamService
 
 TRACE_CONFIG = TraceConfig(
@@ -78,6 +80,29 @@ def write_trace_feed(path, seed=7):
 
 
 SERVICE_KWARGS = dict(checkpoint_every=120, full_every=4, async_io=False)
+ROUTER_KWARGS = dict(checkpoint_every=120, full_every=4, shards=2)
+DRIVERS = ["service", "router"]
+
+
+def over_drivers(matrix):
+    """Every (point, nth) case for each driver; service cases keep the
+    plain ``point-nth`` id, router cases are prefixed ``router-``."""
+    return [
+        pytest.param(
+            driver, point, nth,
+            id=f"{point}-{nth}" if driver == "service"
+            else f"{driver}-{point}-{nth}",
+        )
+        for driver in DRIVERS
+        for point, nth in matrix
+    ]
+
+
+def make_driver(driver, feed, alarms, cp, **extra):
+    """The service, or a 2-shard router over the same one feed."""
+    if driver == "router":
+        return FeedRouter([feed], alarms, cp, **ROUTER_KWARGS, **extra)
+    return StreamService(feed, alarms, cp, **SERVICE_KWARGS, **extra)
 
 
 @pytest.fixture(scope="module")
@@ -90,76 +115,80 @@ def trace_feed(tmp_path_factory):
     return feed, expected.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def expected_logs(trace_feed):
+    """Each driver's uninterrupted log (the router orders lines by day and
+    shard, so the two differ in order only)."""
+    feed, service_log = trace_feed
+    routed = feed.with_name("alarms_router_full.jsonl")
+    make_driver("router", feed, routed, feed.with_name("cpr_full.json")).run()
+    return {"service": service_log, "router": routed.read_bytes()}
+
+
 class TestRunFaultMatrix:
-    @pytest.mark.parametrize("point,nth", RUN_FAULT_MATRIX)
+    @pytest.mark.parametrize("driver,point,nth", over_drivers(RUN_FAULT_MATRIX))
     def test_crash_then_resume_is_bit_identical(
-        self, tmp_path, trace_feed, point, nth
+        self, tmp_path, trace_feed, expected_logs, driver, point, nth
     ):
-        feed, expected = trace_feed
+        feed, _ = trace_feed
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
-        crashed = StreamService(
-            feed, alarms, cp, fault=raising_hook(point, nth), **SERVICE_KWARGS
+        crashed = make_driver(
+            driver, feed, alarms, cp, fault=raising_hook(point, nth)
         )
         with pytest.raises(InjectedCrash):
             crashed.run()
         # The crash left a loadable chain (possibly older than the crash
         # point, never diverged); resume finishes the stream exactly.
-        resumed = StreamService(feed, alarms, cp, **SERVICE_KWARGS)
-        summary = resumed.run(resume=True)
+        summary = make_driver(driver, feed, alarms, cp).run(resume=True)
         assert summary.eof is True
-        assert alarms.read_bytes() == expected
+        assert alarms.read_bytes() == expected_logs[driver]
         # The resumed run swept any temp file the crash stranded.
         assert list(tmp_path.glob("*.tmp")) == []
 
-    @pytest.mark.parametrize("point,nth", RUN_FAULT_MATRIX)
-    def test_double_crash_then_resume(self, tmp_path, trace_feed, point, nth):
-        feed, expected = trace_feed
+    @pytest.mark.parametrize("driver,point,nth", over_drivers(RUN_FAULT_MATRIX))
+    def test_double_crash_then_resume(
+        self, tmp_path, trace_feed, expected_logs, driver, point, nth
+    ):
+        feed, _ = trace_feed
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
         with pytest.raises(InjectedCrash):
-            StreamService(
-                feed, alarms, cp, fault=raising_hook(point, nth),
-                **SERVICE_KWARGS,
+            make_driver(
+                driver, feed, alarms, cp, fault=raising_hook(point, nth)
             ).run()
         with pytest.raises(InjectedCrash):
-            StreamService(
-                feed, alarms, cp, fault=raising_hook(point, nth),
-                **SERVICE_KWARGS,
+            make_driver(
+                driver, feed, alarms, cp, fault=raising_hook(point, nth)
             ).run(resume=True)
-        summary = StreamService(feed, alarms, cp, **SERVICE_KWARGS).run(
-            resume=True
-        )
+        summary = make_driver(driver, feed, alarms, cp).run(resume=True)
         assert summary.eof is True
-        assert alarms.read_bytes() == expected
+        assert alarms.read_bytes() == expected_logs[driver]
 
 
 class TestResumeFaultMatrix:
-    @pytest.mark.parametrize("point,nth", RESUME_FAULT_MATRIX)
+    @pytest.mark.parametrize(
+        "driver,point,nth", over_drivers(RESUME_FAULT_MATRIX)
+    )
     def test_crash_during_resume_truncation(
-        self, tmp_path, trace_feed, point, nth
+        self, tmp_path, trace_feed, expected_logs, driver, point, nth
     ):
-        feed, expected = trace_feed
+        feed, _ = trace_feed
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
-        StreamService(
-            feed, alarms, cp, max_records=2000, **SERVICE_KWARGS
-        ).run()
+        make_driver(driver, feed, alarms, cp, max_records=2000).run()
         # Orphan bytes past the checkpoint: flushed but never accounted.
         with alarms.open("a") as handle:
             handle.write('{"orphan": "line"}\n')
         with pytest.raises(InjectedCrash):
-            StreamService(
-                feed, alarms, cp, fault=raising_hook(point, nth),
-                **SERVICE_KWARGS,
+            make_driver(
+                driver, feed, alarms, cp, fault=raising_hook(point, nth)
             ).run(resume=True)
         # The truncation is one atomic syscall: dying right before or right
         # after it leaves a log a second resume still rolls back exactly.
-        summary = StreamService(feed, alarms, cp, **SERVICE_KWARGS).run(
-            resume=True
-        )
+        summary = make_driver(driver, feed, alarms, cp).run(resume=True)
         assert summary.eof is True
-        assert alarms.read_bytes() == expected
+        assert alarms.read_bytes() == expected_logs[driver]
 
 
 class TestRefusalPaths:
@@ -241,6 +270,20 @@ class TestSubprocessCrash:
         assert done.returncode == 0, done.stderr
         assert alarms.read_bytes() == expected
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_router_hard_exit_then_resume(
+        self, tmp_path, trace_feed, expected_logs
+    ):
+        feed, _ = trace_feed
+        alarms = tmp_path / "alarms.jsonl"
+        cp = tmp_path / "cp.json"
+        crashed = self.run_cli(
+            feed, alarms, cp, "--shards", "2", env_fault="delta-mid-append:1"
+        )
+        assert crashed.returncode == FAULT_EXIT_CODE, crashed.stderr
+        done = self.run_cli(feed, alarms, cp, "--shards", "2", "--resume")
+        assert done.returncode == 0, done.stderr
+        assert alarms.read_bytes() == expected_logs["router"]
 
     def test_hard_exit_during_resume_truncation(self, tmp_path, trace_feed):
         feed, expected = trace_feed

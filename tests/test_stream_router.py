@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.measurement.trace import FaultSpike, TraceConfig, TraceGenerator
 from repro.stream.checkpoint import CheckpointError, load_checkpoint
 from repro.stream.engine import StreamEngine
@@ -264,6 +265,24 @@ class TestShardedResume:
         with pytest.raises(CheckpointError, match="single-engine"):
             FeedRouter([feed], alarms, cp, shards=2).run(resume=True)
 
+    def test_router_checkpoint_refused_by_service(self, tmp_path, capsys):
+        feed, _ = self._expected(tmp_path)
+        alarms = tmp_path / "alarms.jsonl"
+        cp = tmp_path / "cp.json"
+        FeedRouter([feed], alarms, cp, shards=2, max_records=1500).run()
+        durable = alarms.read_bytes()
+        with pytest.raises(CheckpointError, match="router composite"):
+            StreamService(feed, alarms, cp).run(resume=True)
+        # Refused before anything is rolled back, and the CLI reports it as
+        # a failed run rather than a traceback.
+        assert alarms.read_bytes() == durable
+        code = cli_main([
+            "stream", "run", str(feed), "--alarms", str(alarms),
+            "--checkpoint", str(cp), "--resume",
+        ])
+        assert code == 1
+        assert "router composite" in capsys.readouterr().err
+
     def test_feed_count_mismatch_refused(self, tmp_path):
         feed, _ = self._expected(tmp_path)
         alarms = tmp_path / "alarms.jsonl"
@@ -275,6 +294,30 @@ class TestShardedResume:
             FeedRouter(
                 [feed, feed], alarms, cp, shards=2
             ).run(resume=True)
+
+
+class TestChainlessRouter:
+    def test_alarms_flushed_at_every_boundary(self, tmp_path):
+        feed = tmp_path / "feed.jsonl"
+        write_trace_feed(feed)
+        expected = tmp_path / "alarms_full.jsonl"
+        FeedRouter(
+            [feed], expected, tmp_path / "cp.json", shards=2,
+            checkpoint_every=300,
+        ).run()
+        alarms = tmp_path / "alarms.jsonl"
+        # The throttle sleep follows every day barrier: record what the log
+        # holds at each one, before EOF.
+        seen = []
+        summary = FeedRouter(
+            [feed], alarms, shards=2, checkpoint_every=300, throttle=1.0,
+            sleeper=lambda seconds: seen.append(alarms.read_bytes()),
+        ).run()
+        final = alarms.read_bytes()
+        assert final == expected.read_bytes()
+        assert summary.checkpoints == 0
+        assert all(final.startswith(snapshot) for snapshot in seen)
+        assert any(seen), "alarm lines were held back until EOF"
 
 
 class TestRouterCli:
