@@ -4,30 +4,32 @@ A :class:`MoasChecker` attaches to one :class:`~repro.bgp.speaker.BGPSpeaker`
 as an import validator.  For every route that survives import policy it:
 
 1. decodes the route's MOAS list (explicit communities, or the footnote-3
-   implicit singleton {origin});
-2. rejects announcements whose own origin is missing from the list they
-   carry (malformed by construction — no second view needed);
-3. compares the list against every distinct list previously observed for
-   the prefix; any mismatch raises an :class:`~repro.core.alarms.Alarm`;
-4. in ``DETECT_AND_SUPPRESS`` mode, a conflict triggers an origin-oracle
-   lookup (§4.4); routes whose origin is not authorised are rejected, and
-   already-accepted routes from unauthorised origins are retroactively
-   invalidated — "they stop the further propagation of a false route".
+   implicit singleton {origin}); an aggregated route with an AS_SET origin
+   and no communities carries no origin claim and is accepted unchecked;
+2. hands the list to its :class:`~repro.core.detection.MoasDetector`,
+   which applies steps 2 and 3 of the rule (an origin missing from its own
+   list; a list inconsistent with one seen before for the prefix) and
+   turns each finding into an :class:`~repro.core.alarms.Alarm`;
+3. in ``DETECT_AND_SUPPRESS`` mode, rejects a malformed announcement, and
+   once a conflict exists adjudicates through the origin oracle (§4.4):
+   routes whose origin is not authorised are rejected, and already-accepted
+   routes from unauthorised origins are retroactively invalidated — "they
+   stop the further propagation of a false route".
 
-``ALARM_ONLY`` mode performs steps 1-3 but never drops a route; it is the
-ablation arm measuring the value of suppression, and also models the
+``ALARM_ONLY`` mode raises the same alarms but never drops a route; it is
+the ablation arm measuring the value of suppression, and also models the
 off-line §4.2 deployment where checking is advisory.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Optional, Set
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.speaker import BGPSpeaker
 from repro.core.alarms import Alarm, AlarmKind, AlarmLog
-from repro.core.detection import evaluate_list_conflict, select_conflicting
+from repro.core.detection import MoasDetector
 from repro.core.moas_list import MoasList, extract_moas_list
 from repro.core.origin_verification import OriginOracle
 from repro.net.addresses import Prefix
@@ -78,10 +80,7 @@ class MoasChecker:
         self._m_alarms = None
         self._m_conflicts = None
         self._m_suppressed = None
-        # Distinct MOAS lists observed per prefix (across accepted AND
-        # rejected routes — a rejected bogus route must still count as
-        # evidence of conflict for later arrivals).
-        self._observed: Dict[Prefix, Set[MoasList]] = {}
+        self._detector = MoasDetector()
         # Prefixes already adjudicated by the oracle, with the verdict.
         self._verdicts: Dict[Prefix, Optional[frozenset]] = {}
         self.checks = 0
@@ -102,6 +101,11 @@ class MoasChecker:
             self._m_alarms = metrics.counter("checker.alarms")
             self._m_conflicts = metrics.counter("checker.list_conflicts")
             self._m_suppressed = metrics.counter("checker.routes_suppressed")
+
+    @property
+    def _observed(self) -> Dict[Prefix, Set[MoasList]]:
+        """The detector's per-prefix evidence map."""
+        return self._detector.observed
 
     @property
     def speaker(self) -> BGPSpeaker:
@@ -132,7 +136,8 @@ class MoasChecker:
         """
         return {
             "observed": {
-                prefix: set(lists) for prefix, lists in self._observed.items()
+                prefix: set(lists)
+                for prefix, lists in self._detector.observed.items()
             },
             "verdicts": dict(self._verdicts),
             "checks": self.checks,
@@ -141,7 +146,7 @@ class MoasChecker:
         }
 
     def restore_state(self, state: Dict[str, Any]) -> None:
-        self._observed = {
+        self._detector.observed = {
             prefix: set(lists) for prefix, lists in state["observed"].items()
         }
         self._verdicts = dict(state["verdicts"])
@@ -165,54 +170,36 @@ class MoasChecker:
             # per-origin and has nothing to compare here.
             return True
 
-        # Step 2: self-consistency of the announcement itself.
-        if origin is not None and not moas_list.authorises(origin):
+        kind, conflicting, _ = self._detector.check(prefix, origin, moas_list)
+        if kind is not None:
             self._raise_alarm(
                 Alarm(
                     time=self._now(),
                     detector=self.speaker.asn,
                     prefix=prefix,
-                    kind=AlarmKind.ORIGIN_NOT_IN_OWN_LIST,
-                    observed_list=moas_list,
-                    suspect_origin=origin,
-                )
-            )
-            if self.mode is CheckerMode.DETECT_AND_SUPPRESS:
-                self._count_suppressed()
-                return False
-            return True
-
-        # Step 3: compare against every distinct list seen for the prefix.
-        # The comparison and the deterministic evidence selection are the
-        # shared repro.core.detection predicates — the stream engine applies
-        # the identical rule, which is what keeps stream == batch.
-        seen = self._observed.get(prefix)
-        if seen is None:
-            seen = self._observed[prefix] = set()
-        conflict, is_new_list = evaluate_list_conflict(seen, moas_list)
-
-        if conflict and is_new_list:
-            self.conflicts_detected += 1
-            if self._m_conflicts is not None:
-                self._m_conflicts.inc()
-            conflicting = select_conflicting(seen, moas_list)
-            self._raise_alarm(
-                Alarm(
-                    time=self._now(),
-                    detector=self.speaker.asn,
-                    prefix=prefix,
-                    kind=AlarmKind.INCONSISTENT_LISTS,
+                    kind=kind,
                     observed_list=moas_list,
                     conflicting_list=conflicting,
                     suspect_origin=origin,
                 )
             )
+            if kind is AlarmKind.ORIGIN_NOT_IN_OWN_LIST:
+                if self.mode is CheckerMode.DETECT_AND_SUPPRESS:
+                    self._count_suppressed()
+                    return False
+                return True
+            self.conflicts_detected += 1
+            if self._m_conflicts is not None:
+                self._m_conflicts.inc()
 
         if self.mode is CheckerMode.ALARM_ONLY:
             return True
 
-        # Step 4: adjudicate via the oracle once a conflict exists.
-        if conflict or prefix in self._verdicts:
+        # Step 4: adjudicate via the oracle once a conflict exists.  The
+        # first conflict for a prefix is always a new list, and it leaves a
+        # verdict behind, so a repeat of a conflicting list finds the prefix
+        # in ``_verdicts``.
+        if kind is not None or prefix in self._verdicts:
             authorised = self._adjudicate(prefix)
             if authorised is not None and origin is not None:
                 if origin not in authorised:

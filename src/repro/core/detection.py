@@ -1,82 +1,107 @@
-"""Shared detection constants and rule predicates (the R102 registry).
+"""The §4.2 MOAS-list checking rule, as one stateful detector.
 
-Detection logic runs in two drivers today — the batch
-:class:`~repro.core.checker.MoasChecker` and the online
-:class:`~repro.stream.engine.StreamEngine` — and the whole stream == batch
-bit-identity guarantee rests on both applying *exactly* the same rules.
-Every constant or predicate that exists in both places is therefore defined
-once, here, and imported by both sides.  ``repro-lint`` rule R102 enforces
-the discipline statically: a detection constant or rule predicate
-re-defined locally in either module (same name, diverging — or even equal —
-value) is a lint violation, so the two halves cannot silently drift apart
-the way the reproducibility literature shows duplicated logic always does.
+:class:`MoasDetector` owns the per-prefix evidence map — every distinct
+MOAS list observed for a prefix — and applies steps 2 and 3 of the rule to
+each announcement:
 
-Everything in this module is deliberately dependency-light: values and pure
-functions over :class:`~repro.core.moas_list.MoasList`, nothing that knows
-about speakers, feeds or alarms.
+2. an announcement whose own origin is missing from the list it carries is
+   malformed by construction (no second view needed) and is not evidence;
+3. a list inconsistent with any list seen before for the prefix raises an
+   alarm, with the conflicting list picked deterministically by
+   :func:`conflict_evidence_key`.
+
+Both drivers run this one rule body: the batch
+:class:`~repro.core.checker.MoasChecker` (one per simulated router, adding
+the oracle adjudication of step 4) and the online
+:class:`~repro.stream.engine.StreamEngine` (adding live-origin state,
+alarm dedup and evidence eviction).  Stream == batch therefore holds by
+construction, and ``tests/test_detection_differential.py`` checks it
+dynamically over random announcement sequences.
+
+The detector knows nothing about speakers, feeds or alarm records: each
+driver turns a finding into its own alarm type.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, MutableSet, Tuple
+from typing import Dict, Optional, Set, Tuple
 
+from repro.core.alarms import AlarmKind
 from repro.core.moas_list import MoasList
+from repro.net.addresses import Prefix
+from repro.net.asn import ASN
 
 __all__ = [
     "DEFAULT_EVIDENCE_WINDOW",
+    "Finding",
+    "MoasDetector",
     "conflict_evidence_key",
-    "evaluate_list_conflict",
-    "select_conflicting",
 ]
 
-#: How long (in feed-time days) conflict evidence for a *dead* prefix is
-#: retained before eviction.  The streaming engine's bounded-window analogue
-#: of the batch checker's per-run ``_observed`` map; any second consumer of
-#: evidence retention must import this value, not re-declare it.
+#: How long (in feed-time days) the stream engine retains conflict evidence
+#: for a *dead* prefix before :meth:`MoasDetector.forget` drops it — the
+#: bounded-window analogue of the batch checker's run-long evidence.
 DEFAULT_EVIDENCE_WINDOW: float = 30.0
+
+#: ``(alarm kind or None, conflicting list or None, list was new evidence)``.
+Finding = Tuple[Optional[AlarmKind], Optional[MoasList], bool]
+
+_MALFORMED: Finding = (AlarmKind.ORIGIN_NOT_IN_OWN_LIST, None, False)
+_REPEAT: Finding = (None, None, False)
+_NEW: Finding = (None, None, True)
 
 
 def conflict_evidence_key(moas_list: MoasList) -> Tuple[int, ...]:
     """Deterministic ordering key for MOAS-list evidence.
 
     Raw set iteration order would let alarm evidence depend on hash order;
-    every place that has to pick *one* list out of an evidence set sorts by
-    this key first.
+    the conflicting list of a step-3 alarm is the first inconsistent one in
+    this order.
     """
     return tuple(moas_list)
 
 
-def evaluate_list_conflict(
-    seen: MutableSet[MoasList], moas_list: MoasList
-) -> Tuple[bool, bool]:
-    """Step 3 of the §4.2 checking rule, shared by batch and stream.
+class MoasDetector:
+    """Steps 2 and 3 of the checking rule over per-prefix evidence."""
 
-    Compares ``moas_list`` against every distinct list previously observed
-    for the prefix, records it as evidence, and returns
-    ``(conflict, is_new_list)``.  The steady-state fast path — the only list
-    ever seen for the prefix is this very one — skips the comparison
-    entirely (lists are memoized by extraction, so the membership test is an
-    identity hit).
-    """
-    if len(seen) == 1 and moas_list in seen:
-        return False, False
-    conflict = any(not moas_list.consistent_with(other) for other in seen)
-    is_new_list = moas_list not in seen
-    seen.add(moas_list)
-    return conflict, is_new_list
+    def __init__(self) -> None:
+        # Distinct MOAS lists observed per prefix.  A driver that rejects a
+        # route still checks it first, so a rejected bogus route counts as
+        # evidence of conflict for later arrivals.
+        self.observed: Dict[Prefix, Set[MoasList]] = {}
 
+    def check(
+        self, prefix: Prefix, origin: Optional[ASN], moas_list: MoasList
+    ) -> Finding:
+        """Check one announcement and record its list as evidence.
 
-def select_conflicting(
-    seen: AbstractSet[MoasList], moas_list: MoasList
-) -> MoasList:
-    """Pick the conflicting list used as alarm evidence, deterministically.
+        Returns the alarm kind (``None`` when the announcement passes), the
+        conflicting list of a step-3 alarm, and whether the list was new
+        evidence for the prefix.  A list already in the evidence set raises
+        nothing: its conflict, if any, was reported when it first arrived.
+        ``origin`` is ``None`` for an AS_SET origin, which step 2 cannot
+        check.
+        """
+        if origin is not None and not moas_list.authorises(origin):
+            return _MALFORMED
+        seen = self.observed.get(prefix)
+        if seen is None:
+            self.observed[prefix] = {moas_list}
+            return _NEW
+        # Lists are memoized by extraction, so the steady state (a refresh
+        # of a list already seen) is an identity hit here.
+        if moas_list in seen:
+            return _REPEAT
+        conflicting = min(
+            (other for other in seen if not moas_list.consistent_with(other)),
+            key=conflict_evidence_key,
+            default=None,
+        )
+        seen.add(moas_list)
+        if conflicting is None:
+            return _NEW
+        return AlarmKind.INCONSISTENT_LISTS, conflicting, True
 
-    The first list inconsistent with ``moas_list`` in
-    :func:`conflict_evidence_key` order.  Callers guarantee a conflict
-    exists (``evaluate_list_conflict`` returned True).
-    """
-    return next(
-        other
-        for other in sorted(seen, key=conflict_evidence_key)
-        if not moas_list.consistent_with(other)
-    )
+    def forget(self, prefix: Prefix) -> None:
+        """Drop the evidence for ``prefix`` (stream eviction)."""
+        self.observed.pop(prefix, None)

@@ -240,6 +240,8 @@ class Simulator:
                         "simulation is likely diverging"
                     )
         finally:
+            if gc_was_enabled:
+                gc.enable()
             self._running = False
             processed = self.events_processed - started_at
             if self._m_events is not None and processed:

@@ -238,11 +238,22 @@ def _worker_main(
     assignment: Dict[ASN, int],
     capable: FrozenSet[ASN],
     instrumented: bool,
+    parent_ends: Sequence[Any] = (),
 ) -> None:
-    """One shard: build the slice, then obey coordinator commands."""
+    """One shard: build the slice, then obey coordinator commands.
+
+    The coordinator's pipe ends the fork copied in (``parent_ends``) are
+    closed first.  Held open here, they would keep this pipe, or an earlier
+    shard's, from reaching EOF when the coordinator dies, and the worker
+    would wait in ``recv`` forever.
+    """
+    for end in parent_ends:
+        end.close()
     # Same rationale as Simulator.run's suspension, applied for the whole
     # worker lifetime: per-event garbage is acyclic, and gen-2 scans of the
-    # O(topology) graph would otherwise recur every barrier window.
+    # O(topology) graph would otherwise recur every barrier window.  Unlike
+    # Simulator.run, nothing re-enables the collector: the worker process
+    # exits after one simulation, so no later work runs without it.
     gc.disable()
     try:
         from repro.core.deployment import DeploymentPlan
@@ -501,6 +512,7 @@ class _Coordinator:
                     self.assignment,
                     capable,
                     instrumented,
+                    [parent_conn] + [shard.conn for shard in self.shards],
                 ),
                 daemon=True,
             )

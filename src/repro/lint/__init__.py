@@ -30,9 +30,9 @@ package turns those conventions into machine-checked rules:
   :mod:`repro.warmstart` does.
 
 On top of the per-file rules, a whole-program pass builds a project index
-(:mod:`repro.lint.index`) — per-module taint summaries, class attribute
-models, constants — cached on disk keyed by content hash, and runs three
-call-graph-aware analyses over it:
+(:mod:`repro.lint.index`) — per-module taint summaries and class attribute
+models — cached on disk keyed by content hash, and runs two call-graph-aware
+analyses over it:
 
 * **R100** — flow-sensitive nondeterminism taint: a value derived from a
   wall clock, unseeded randomness, ``os.urandom``, ``uuid1/4``,
@@ -43,10 +43,6 @@ call-graph-aware analyses over it:
 * **R101** — snapshot/restore completeness: every class implementing the
   ``snapshot_state``/``restore_state`` protocol must capture, restore, or
   explicitly waive (``_SNAPSHOT_WAIVED``) every instance attribute.
-* **R102** — checker/engine rule parity: detection constants, thresholds
-  and predicates shared by :mod:`repro.core.checker` and
-  :mod:`repro.stream.engine` must live once in the
-  :mod:`repro.core.detection` registry, never as diverging copies.
 
 Violations are suppressed per line with ``# repro-lint: disable=R001`` (or
 ``disable=all``).  Run as ``python -m repro.lint src/repro`` or via the

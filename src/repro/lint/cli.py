@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description="Determinism / pickle-safety static analysis for the "
         "repro codebase (per-file rules R001-R008 plus whole-program "
-        "analyses R100-R102).",
+        "analyses R100-R101).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],

@@ -3,10 +3,10 @@
 ``run_lint`` is the full pipeline — expand paths, build (or load from the
 incremental cache) one :class:`~repro.lint.index.ModuleSummary` per file,
 replay the cached per-file violations, then run the whole-program analyses
-(R100 taint, R101 snapshot completeness, R102 rule parity) over the summary
-set.  ``lint_paths`` / ``lint_file`` / ``lint_source`` are the stable
-library surface the tests and the meta-test use; they run the same pipeline
-without a cache.
+(R100 taint, R101 snapshot completeness) over the summary set.
+``lint_paths`` / ``lint_file`` / ``lint_source`` are the stable library
+surface the tests and the meta-test use; they run the same pipeline without
+a cache.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.lint.index import (
     config_digest,
     default_cache_dir,
 )
-from repro.lint.parity import check_parity
 from repro.lint.rules import LintConfig, Violation, iter_python_files
 from repro.lint.snapshot import check_snapshot_completeness
 from repro.lint.taint import check_taint
@@ -105,7 +104,6 @@ def run_program_rules(
     violations: List[Violation] = []
     violations.extend(check_taint(summaries, config))
     violations.extend(check_snapshot_completeness(summaries, config))
-    violations.extend(check_parity(summaries, config))
     return violations
 
 

@@ -1,11 +1,10 @@
 """The whole-program project index behind repro-lint.
 
 Per-file pattern rules (R001-R008) see one AST at a time; the program rules
-(R100 taint, R101 snapshot completeness, R102 rule parity) need a view of
-the *project*: which functions call which, what instance attributes a class
-owns, which constants a module defines.  This module builds that view as
-one :class:`ModuleSummary` per file — a small, pickleable digest of
-everything the program analyses consume:
+(R100 taint, R101 snapshot completeness) need a view of the *project*:
+which functions call which and what instance attributes a class owns.
+This module builds that view as one :class:`ModuleSummary` per file — a
+small, pickleable digest of everything the program analyses consume:
 
 * the per-file rule violations (computed once, filtered by ``--select`` at
   report time);
@@ -15,8 +14,7 @@ everything the program analyses consume:
 * a class attribute model: every ``self.x = ...`` instance attribute, what
   ``snapshot_state`` reads, what ``restore_state`` touches, and the class's
   explicit ``_SNAPSHOT_WAIVED`` waivers;
-* module-level constants, watched parameter defaults, and the import map
-  used to resolve call atoms across modules.
+* the import map used to resolve call atoms across modules.
 
 Summaries are cached on disk keyed by a content hash (source bytes + path +
 extraction config + schema version), so a warm lint of an unchanged tree
@@ -52,7 +50,7 @@ from repro.lint.rules import (
 
 #: Bump when the summary shape or the extraction logic changes: every cache
 #: entry written under another schema version silently misses.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: Taint atom prefixes.  A *direct* atom carries the human-readable source
 #: description; a *call* atom carries the callee name as written, resolved
@@ -150,15 +148,6 @@ class ClassInfo:
 
 
 @dataclass(frozen=True)
-class ConstInfo:
-    """One module-level (or class-level UPPER_CASE) literal constant."""
-
-    name: str
-    value_repr: str
-    lineno: int
-
-
-@dataclass(frozen=True)
 class ModuleSummary:
     """Everything the whole-program analyses need from one file."""
 
@@ -170,8 +159,6 @@ class ModuleSummary:
     functions: Mapping[str, FunctionInfo]
     classes: Mapping[str, ClassInfo]
     imports: Mapping[str, str]
-    constants: Mapping[str, ConstInfo]
-    defaults: Mapping[str, Tuple[ConstInfo, ...]]  # function qualname -> param defaults
 
 
 def module_name_for(path: str) -> str:
@@ -673,84 +660,6 @@ def _literal_string_collection(node: ast.expr) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# constants and defaults (R102 substrate)
-# ---------------------------------------------------------------------------
-
-
-def _collect_constants(tree: ast.Module) -> Dict[str, ConstInfo]:
-    constants: Dict[str, ConstInfo] = {}
-
-    def record(name: str, value: ast.expr, lineno: int) -> None:
-        if isinstance(value, ast.Constant) and isinstance(
-            value.value, (int, float, str, bool)
-        ):
-            constants.setdefault(
-                name, ConstInfo(name=name, value_repr=repr(value.value), lineno=lineno)
-            )
-
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            if isinstance(target, ast.Name):
-                record(target.id, stmt.value, stmt.lineno)
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            if isinstance(stmt.target, ast.Name):
-                record(stmt.target.id, stmt.value, stmt.lineno)
-        elif isinstance(stmt, ast.ClassDef):
-            for inner in stmt.body:
-                if isinstance(inner, ast.Assign) and len(inner.targets) == 1:
-                    target = inner.targets[0]
-                    if isinstance(target, ast.Name) and target.id.isupper():
-                        record(f"{stmt.name}.{target.id}", inner.value, inner.lineno)
-                        record(target.id, inner.value, inner.lineno)
-                elif isinstance(inner, ast.AnnAssign) and inner.value is not None:
-                    target = inner.target
-                    if isinstance(target, ast.Name) and target.id.isupper():
-                        record(f"{stmt.name}.{target.id}", inner.value, inner.lineno)
-                        record(target.id, inner.value, inner.lineno)
-    return constants
-
-
-def _collect_defaults(
-    functions: Sequence[Tuple[Optional[str], ast.AST]]
-) -> Dict[str, Tuple[ConstInfo, ...]]:
-    defaults: Dict[str, Tuple[ConstInfo, ...]] = {}
-    for class_name, node in functions:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        qualname = f"{class_name}.{node.name}" if class_name else node.name
-        args = node.args
-        entries: List[ConstInfo] = []
-        positional = list(args.posonlyargs) + list(args.args)
-        offset = len(positional) - len(args.defaults)
-        for arg, default in zip(positional[offset:], args.defaults):
-            if isinstance(default, ast.Constant) and isinstance(
-                default.value, (int, float, str, bool)
-            ):
-                entries.append(
-                    ConstInfo(
-                        name=arg.arg,
-                        value_repr=repr(default.value),
-                        lineno=default.lineno,
-                    )
-                )
-        for arg, kw_default in zip(args.kwonlyargs, args.kw_defaults):
-            if isinstance(kw_default, ast.Constant) and isinstance(
-                kw_default.value, (int, float, str, bool)
-            ):
-                entries.append(
-                    ConstInfo(
-                        name=arg.arg,
-                        value_repr=repr(kw_default.value),
-                        lineno=kw_default.lineno,
-                    )
-                )
-        if entries:
-            defaults[qualname] = tuple(entries)
-    return defaults
-
-
-# ---------------------------------------------------------------------------
 # summary construction
 # ---------------------------------------------------------------------------
 
@@ -827,8 +736,6 @@ def build_summary(path: str, source: str, config: LintConfig) -> ModuleSummary:
         functions=functions,
         classes=classes,
         imports=imports,
-        constants=_collect_constants(tree),
-        defaults=_collect_defaults(flat),
     )
 
 
@@ -860,8 +767,6 @@ def config_digest(config: LintConfig) -> str:
         config.taint_sink_methods,
         config.taint_sink_constructors,
         config.snapshot_waiver_name,
-        config.parity_groups,
-        config.parity_registry_modules,
     )
     return hashlib.sha256(repr(fields).encode("utf-8")).hexdigest()
 

@@ -57,10 +57,6 @@ RULES: Dict[str, str] = {
     "restore_state has an instance attribute that is neither captured, "
     "restored, nor explicitly waived in _SNAPSHOT_WAIVED — adding a field "
     "must never silently break warm-start or checkpoint resume",
-    "R102": "checker/engine rule parity: a detection constant, threshold "
-    "default or rule predicate is defined in more than one detection "
-    "module (or re-defined beside the repro.core.detection registry) with "
-    "a diverging — or shadowing — value; import it from the registry",
 }
 
 #: ``random`` module functions that draw from the implicit global state.
@@ -239,13 +235,6 @@ class LintConfig:
     )
     #: Class attribute declaring snapshot-protocol waivers (R101).
     snapshot_waiver_name: str = "_SNAPSHOT_WAIVED"
-    #: Module groups whose detection constants / thresholds / predicates
-    #: must agree (R102) — the batch checker and its streaming mirror.
-    parity_groups: Tuple[Tuple[str, ...], ...] = (
-        ("*/core/checker.py", "*/stream/engine.py"),
-    )
-    #: The shared-constant registry modules R102 protects from shadowing.
-    parity_registry_modules: Tuple[str, ...] = ("*/core/detection.py",)
 
     def enabled(self, rule: str) -> bool:
         return rule in self.select
@@ -924,7 +913,7 @@ def check_file_rules(
 
     The project-level entry points (``lint_source``/``lint_file``/
     ``lint_paths``) now live in :mod:`repro.lint.driver`, which layers the
-    whole-program analyses (R100–R102) on top of this pass.
+    whole-program analyses (R100–R101) on top of this pass.
     """
     tree = ast.parse(source, filename=path)
     checker = _FileChecker(path, source, config)

@@ -1,18 +1,17 @@
 """The incremental online MOAS detector.
 
 :class:`StreamEngine` is the streaming counterpart of both halves of the
-batch pipeline: it maintains the live per-prefix origin state the §3
-observer derives from daily table dumps (so MOAS counts fall out of the
-same state, updated in O(1) per event instead of a full-table rescan), and
-it applies the §4.2 :class:`~repro.core.checker.MoasChecker` conflict rules
-to every announcement as it arrives — step 2 (an origin missing from its
-own list) and step 3 (inconsistency with any list previously observed for
-the prefix), with the same deterministic conflicting-list selection.
+batch pipeline.  It maintains the live per-prefix origin state the §3
+observer derives from daily table dumps, so MOAS counts fall out of the
+same state, updated in O(1) per event instead of a full-table rescan.  And
+it runs every announcement through a
+:class:`~repro.core.detection.MoasDetector` — the same §4.2 rule body the
+batch :class:`~repro.core.checker.MoasChecker` runs — turning each finding
+into a :class:`StreamAlarm`.
 
-Because a long-running service cannot keep evidence forever, conflict
-evidence for *dead* prefixes (no live origin) is evicted once the prefix
-has been quiet for a configurable window of ticks — the bounded-window
-analogue of the checker's per-run ``_observed`` map.  Alarms are
+Because a long-running service cannot keep evidence forever, the detector's
+evidence for *dead* prefixes (no live origin) is forgotten once the prefix
+has been quiet for a configurable window of ticks.  Alarms are
 deduplicated on their full evidence (prefix, kind, observed list,
 conflicting list, suspect origin): the first occurrence emits a
 :class:`StreamAlarm` record, repeats only bump an aggregate count, so a
@@ -31,12 +30,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.alarms import AlarmKind
-from repro.core.detection import (
-    DEFAULT_EVIDENCE_WINDOW,
-    evaluate_list_conflict,
-    select_conflicting,
-)
+from repro.core.detection import DEFAULT_EVIDENCE_WINDOW, MoasDetector
 from repro.core.moas_list import MoasList
 from repro.net.addresses import Prefix
 from repro.net.asn import ASN
@@ -115,8 +109,8 @@ class StreamEngine:
         # MOAS list each one last attached.
         self._origins: Dict[Prefix, Dict[ASN, MoasList]] = {}
         # Conflict evidence: every distinct list observed for a prefix since
-        # its evidence was last evicted (mirrors MoasChecker._observed).
-        self._observed: Dict[Prefix, Set[MoasList]] = {}
+        # its evidence was last evicted.
+        self._detector = MoasDetector()
         self._last_activity: Dict[Prefix, float] = {}
         # Alarm dedup/aggregation: evidence key -> occurrence count.
         self._alarm_counts: Dict[AlarmKey, int] = {}
@@ -167,7 +161,7 @@ class StreamEngine:
     @property
     def state_prefixes(self) -> int:
         """Prefixes the engine holds any state for (live or evidence)."""
-        return len(self._origins.keys() | self._observed.keys())
+        return len(self._origins.keys() | self._detector.observed.keys())
 
     def live_origins(self, prefix: Prefix) -> Tuple[ASN, ...]:
         return tuple(sorted(self._origins.get(prefix, {})))
@@ -206,42 +200,20 @@ class StreamEngine:
         self._last_activity[prefix] = record.time
         self._dirty_activity.add(prefix)
         moas_list = MoasList(record.effective_moas())
-        alarms: List[StreamAlarm] = []
-
-        # Step 2 (checker): an announcement whose own origin is missing from
-        # the list it carries is malformed by construction.  Alarm-only
-        # semantics: the route still becomes live state, but — like the
-        # checker's early return — contributes no step-3 evidence.
-        if not moas_list.authorises(origin):
-            self._record_alarm(
-                StreamAlarm(
-                    time=record.time,
-                    prefix=str(prefix),
-                    kind=AlarmKind.ORIGIN_NOT_IN_OWN_LIST.value,
-                    observed=tuple(moas_list),
-                    origin=origin,
-                ),
-                alarms,
-            )
-            self._install(prefix, origin, moas_list)
-            return alarms
-
-        # Step 3 (checker): the shared repro.core.detection predicates — the
-        # batch checker applies the identical rule and evidence selection,
-        # which is what keeps stream == batch bit-identical.
-        seen = self._observed.setdefault(prefix, set())
-        conflict, is_new_list = evaluate_list_conflict(seen, moas_list)
-        if is_new_list:
+        # A malformed announcement (origin missing from its own list) still
+        # becomes live state: the engine only ever raises alarms.
+        kind, conflicting, is_new = self._detector.check(prefix, origin, moas_list)
+        if is_new:
             self._dirty_observed.add(prefix)
-        if conflict and is_new_list:
-            conflicting = select_conflicting(seen, moas_list)
+        alarms: List[StreamAlarm] = []
+        if kind is not None:
             self._record_alarm(
                 StreamAlarm(
                     time=record.time,
                     prefix=str(prefix),
-                    kind=AlarmKind.INCONSISTENT_LISTS.value,
+                    kind=kind.value,
                     observed=tuple(moas_list),
-                    conflicting=tuple(conflicting),
+                    conflicting=None if conflicting is None else tuple(conflicting),
                     origin=origin,
                 ),
                 alarms,
@@ -318,7 +290,7 @@ class StreamEngine:
         self._dirty_observed.update(stale)
         self._dirty_activity.update(stale)
         for prefix in stale:
-            self._observed.pop(prefix, None)
+            self._detector.forget(prefix)
             del self._last_activity[prefix]
         for key in [k for k in self._alarm_counts if k[0] in stale_names]:
             del self._alarm_counts[key]
@@ -361,7 +333,7 @@ class StreamEngine:
         observed = [
             [str(prefix), sorted(sorted(m.origins) for m in lists)]
             for prefix, lists in sorted(
-                self._observed.items(), key=lambda item: item[0].sort_key
+                self._detector.observed.items(), key=lambda item: item[0].sort_key
             )
         ]
         activity = [
@@ -437,7 +409,7 @@ class StreamEngine:
             )
         observed = []
         for prefix in sorted(self._dirty_observed, key=lambda p: p.sort_key):
-            lists = self._observed.get(prefix)
+            lists = self._detector.observed.get(prefix)
             observed.append(
                 [
                     str(prefix),
@@ -503,7 +475,7 @@ class StreamEngine:
             }
             for prefix, live in state["origins"]
         }
-        self._observed = {
+        self._detector.observed = {
             Prefix.parse(prefix): {MoasList(members) for members in lists}
             for prefix, lists in state["observed"]
         }

@@ -1,5 +1,7 @@
 """Unit tests for the simulation driver."""
 
+import gc
+
 import pytest
 
 from repro.eventsim import Simulator, SimulationError
@@ -99,6 +101,40 @@ class TestRunning:
             sim.schedule_at(t, lambda: None)
         sim.run_to_quiescence()
         assert len(sim.queue) == 0
+
+
+class TestGarbageCollection:
+    """Cycle collection is suspended during a run, never left off after."""
+
+    def test_collector_suspended_during_run(self, sim):
+        seen = []
+        sim.schedule_at(1.0, lambda: seen.append(gc.isenabled()))
+        sim.run()
+        assert seen == [False]
+
+    def test_collector_enabled_after_run(self, sim):
+        gc.enable()
+        sim.schedule_at(1.0, lambda: None)
+        sim.run()
+        assert gc.isenabled()
+
+    def test_collector_enabled_after_raising_run(self, sim):
+        def boom():
+            raise RuntimeError("boom")
+
+        gc.enable()
+        sim.schedule_at(1.0, boom)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert gc.isenabled()
+
+    def test_collector_stays_off_when_caller_disabled_it(self, sim):
+        gc.disable()
+        try:
+            sim.run()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestReset:

@@ -197,7 +197,7 @@ class TestSarif:
         run = log["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro-lint"
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"R001", "R100", "R101", "R102"} <= rule_ids
+        assert {"R001", "R100", "R101"} <= rule_ids
         result = run["results"][0]
         assert result["ruleId"] == "R001"
         assert result["level"] == "warning"

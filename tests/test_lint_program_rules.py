@@ -1,4 +1,4 @@
-"""Whole-program analyses: R100 taint, R101 snapshot completeness, R102 parity."""
+"""Whole-program analyses: R100 taint, R101 snapshot completeness."""
 
 from pathlib import Path
 
@@ -172,71 +172,6 @@ class TestR101Snapshot:
         assert set(report.captured) == {"count", "items"}
 
 
-class TestR102Parity:
-    TRIO = [
-        FIXTURES / "r102" / "core" / "detection.py",
-        FIXTURES / "r102" / "core" / "checker.py",
-        FIXTURES / "r102" / "stream" / "engine.py",
-    ]
-
-    def violations(self):
-        return only(lint_paths(self.TRIO), "R102")
-
-    def test_diverging_constant_flagged_in_both_modules(self):
-        hits = [
-            v for v in self.violations()
-            if "EVIDENCE_WINDOW" in v.message and "diverges across" in v.message
-        ]
-        assert {Path(v.path).name for v in hits} == {"checker.py", "engine.py"}
-
-    def test_registry_duplicate_and_shadow(self):
-        violations = self.violations()
-        assert any(
-            "duplicates the registry value" in v.message
-            and v.path.endswith("core/checker.py")
-            for v in violations
-        )
-        assert any(
-            "shadows the registry value" in v.message
-            and v.path.endswith("stream/engine.py")
-            for v in violations
-        )
-
-    def test_diverging_parameter_default(self):
-        hits = [
-            v for v in self.violations()
-            if "'window'" in v.message and "parameter default" in v.message
-        ]
-        assert {Path(v.path).name for v in hits} == {"checker.py", "engine.py"}
-
-    def test_reimplemented_predicate(self):
-        assert any(
-            "lists_conflict" in v.message and "re-implements" in v.message
-            for v in self.violations()
-        )
-
-    def test_matching_constant_without_registry_entry_is_fine(self):
-        # SUPPRESS_LIMIT agrees across the group and is not a registry name.
-        assert not any("SUPPRESS_LIMIT" in v.message for v in self.violations())
-
-    def test_suppression(self):
-        files = {
-            "core/detection.py": "WINDOW = 1.0\n",
-            "core/checker.py": "WINDOW = 2.0  # repro-lint: disable=R102\n",
-            "stream/engine.py": "WINDOW = 2.0  # repro-lint: disable=R102\n",
-        }
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmp:
-            paths = []
-            for rel, content in files.items():
-                path = Path(tmp) / rel
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(content, encoding="utf-8")
-                paths.append(path)
-            assert only(lint_paths(paths), "R102") == []
-
-
 class TestQueryPackageCoverage:
     """R006/R100 extended to the query subsystem's idioms."""
 
@@ -285,7 +220,7 @@ class TestRealTreeIsProgramClean:
         violations = [
             v
             for v in lint_paths([SRC_ROOT])
-            if v.rule in {"R100", "R101", "R102"}
+            if v.rule in {"R100", "R101"}
         ]
         assert violations == [], [v.format() for v in violations]
 

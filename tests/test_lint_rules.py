@@ -306,7 +306,7 @@ class TestInfrastructure:
     def test_rule_catalogue_complete(self):
         assert set(RULES) == {
             "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
-            "R009", "R100", "R101", "R102",
+            "R009", "R100", "R101",
         }
 
 
