@@ -15,7 +15,7 @@ buys two things:
 * memory: one ``PathAttributes``/``AsPath`` instance per distinct value
   instead of one per (speaker, derivation);
 * speed: downstream equality checks (Adj-RIB-Out duplicate suppression,
-  import duplicate detection, export memo keys) hit the ``x is y``
+  import duplicate detection, prepend memo keys) hit the ``x is y``
   identity fast path, and dict lookups short-circuit on identity before
   ever comparing payloads.
 

@@ -95,8 +95,6 @@ class BGPSpeaker:
             "_m_updates_sent",
             "_m_decision_runs",
             "_m_mrai_fires",
-            "_m_export_cache_hits",
-            "_m_export_cache_misses",
         }
     )
 
@@ -140,12 +138,10 @@ class BGPSpeaker:
         self._mrai_timers: Dict[ASN, Timer] = {}
 
         # Caches for the propagation hot path.  The established-peer list
-        # changes only at session state transitions; export attributes are a
-        # pure function of (peer, prefix, attributes, locality) because
-        # policies are stateless, so the prepend/replace work for a best
-        # route fanned out to many peers is done once and interned.
+        # changes only at session state transitions; the prepend/replace
+        # work for a best route fanned out to many peers is done once per
+        # post-policy attribute bundle and interned.
         self._established_cache: Optional[List[ASN]] = None
-        self._export_cache: Dict[tuple, Optional[PathAttributes]] = {}
         self._prepend_cache: Dict[PathAttributes, PathAttributes] = {}
         # A simulator reset rewinds the clock but keeps the speakers; the
         # caches must not outlive the run that built them.
@@ -166,17 +162,11 @@ class BGPSpeaker:
             self._m_updates_sent = metrics.counter("bgp.updates_sent")
             self._m_updates_received = metrics.counter("bgp.updates_received")
             self._m_decision_runs = metrics.counter("bgp.decision_runs")
-            self._m_export_cache_hits = metrics.counter("bgp.export_cache_hits")
-            self._m_export_cache_misses = metrics.counter(
-                "bgp.export_cache_misses"
-            )
             self._m_mrai_fires = metrics.counter("bgp.mrai_fires")
         else:
             self._m_updates_sent = None
             self._m_updates_received = None
             self._m_decision_runs = None
-            self._m_export_cache_hits = None
-            self._m_export_cache_misses = None
             self._m_mrai_fires = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -255,12 +245,11 @@ class BGPSpeaker:
         """Drop the propagation-path memo caches.
 
         Registered as a simulator reset hook: without it a reused network
-        keeps stale export/prepend entries forever and memory grows
+        keeps stale prepend entries forever and memory grows
         monotonically across long sweeps.  Safe at any time — the caches
         are pure memoisation and rebuild on demand.
         """
         self._established_cache = None
-        self._export_cache.clear()
         self._prepend_cache.clear()
 
     # -- origination ------------------------------------------------------------
@@ -703,32 +692,7 @@ class BGPSpeaker:
         session in this simulator an eBGP session between distinct ASes —
         NO_EXPORT has the same effect.  Locally originated routes are
         exempt (the originator may still announce its own prefix).
-
-        Results are memoized per (peer, prefix, attributes, locality):
-        policies are stateless, so the same best route fanned out to many
-        peers — or re-flushed after an unrelated change — reuses one
-        computed (and interned) attribute object instead of rebuilding the
-        prepended path each time.  Interning keeps Adj-RIB-Out duplicate
-        checks on the fast identity path.
         """
-        cache_key = (peer, entry.prefix, entry.attributes, entry.is_local)
-        try:
-            result = self._export_cache[cache_key]
-        except KeyError:
-            pass
-        else:
-            if self._m_export_cache_hits is not None:
-                self._m_export_cache_hits.inc()
-            return result
-        if self._m_export_cache_misses is not None:
-            self._m_export_cache_misses.inc()
-        exported = self._compute_export_attributes(peer, entry)
-        self._export_cache[cache_key] = exported
-        return exported
-
-    def _compute_export_attributes(
-        self, peer: ASN, entry: RibEntry
-    ) -> Optional[PathAttributes]:
         if not entry.is_local:
             community_values = {c.to_u32() for c in entry.attributes.communities}
             if community_values & {
@@ -774,9 +738,8 @@ class BGPSpeaker:
 
         Containers are copied; the entries, attributes and prefixes inside
         them are immutable value objects and shared with the live tables.
-        The memo caches are captured too — not for correctness of routing,
-        but so a restored run's cache-hit counters (and hence its masked
-        metric snapshot) are bit-identical to the cold continuation.
+        The prepend memo is captured too; routing does not depend on it,
+        it only spares the restored run rebuilding exported bundles.
         """
         mrai: Dict[ASN, Dict[str, Any]] = {}
         for peer, timer in sorted(self._mrai_timers.items()):
@@ -799,7 +762,6 @@ class BGPSpeaker:
                 for peer, session in sorted(self.sessions.items())
             },
             "mrai": mrai,
-            "export_cache": dict(self._export_cache),
             "prepend_cache": dict(self._prepend_cache),
             "counters": {
                 "updates_received": self.updates_received,
@@ -847,7 +809,6 @@ class BGPSpeaker:
                 lambda t=timer, at=info["expires_at"]: t.resume_at(at),
             )
         self._established_cache = None
-        self._export_cache = dict(state["export_cache"])
         self._prepend_cache = dict(state["prepend_cache"])
         counters = state["counters"]
         self.updates_received = counters["updates_received"]

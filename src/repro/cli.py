@@ -446,6 +446,7 @@ def _cmd_stream_gen(args: argparse.Namespace) -> int:
 def _cmd_stream_run(args: argparse.Namespace) -> int:
     from repro.obs.manifest import ManifestWriter
     from repro.obs.metrics import MetricsRegistry
+    from repro.procpool import WorkerError
     from repro.stream.checkpoint import CheckpointError
     from repro.stream.router import FeedRouter
     from repro.stream.service import StreamService
@@ -492,7 +493,7 @@ def _cmd_stream_run(args: argparse.Namespace) -> int:
     service.install_signal_handlers()
     try:
         summary = service.run(resume=args.resume)
-    except (CheckpointError, FileNotFoundError, ValueError) as exc:
+    except (CheckpointError, FileNotFoundError, ValueError, WorkerError) as exc:
         print(f"stream run failed: {exc}", file=sys.stderr)
         return 1
     if args.manifest:

@@ -259,7 +259,7 @@ class Simulator:
     def add_reset_hook(self, hook: Callable[[], None]) -> None:
         """Register a callback run at the end of every :meth:`reset`.
 
-        Speakers use this to drop per-run caches (export/prepend memos)
+        Speakers use this to drop per-run caches (the prepend memo)
         whose entries would otherwise accumulate across reused networks.
         """
         self._reset_hooks.append(hook)

@@ -34,18 +34,14 @@ snapshots are bit-identical to the serial engine's.  Alarms are tagged
 with their firing's ``(epoch, rank)`` at raise time and merged back into
 emission order; metric counters and histogram buckets sum across shards.
 
-POSIX only: workers are started with the ``fork`` method so the graph and
-scenario are inherited copy-on-write instead of pickled.
+POSIX only: workers are :class:`~repro.procpool.WorkerPool` forks, so the
+graph and scenario are inherited copy-on-write instead of pickled.
 """
 
 from __future__ import annotations
 
 import gc
-import multiprocessing
-import multiprocessing.connection
-import os
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -73,6 +69,7 @@ from repro.core.origin_verification import GroundTruthOracle, PrefixOriginRegist
 from repro.eventsim.sharded import ShardSimulator, partition_speakers
 from repro.net.asn import ASN
 from repro.obs.metrics import MetricsRegistry
+from repro.procpool import STOP, WorkerPool
 from repro.warmstart import (
     BaselineKey,
     BaselineSnapshot,
@@ -94,16 +91,16 @@ if TYPE_CHECKING:  # runner imports this module lazily; avoid the cycle
 #: serial emission order exactly (a firing runs on exactly one shard).
 AlarmTag = Tuple[int, int, int]
 
+#: A worker's status reply body: its drained outbox (cross-shard mail by
+#: destination shard) and the time of its next local event.
+_Status = Tuple[Dict[int, List[MailRecord]], Optional[float]]
+
 #: Metric names whose values are legitimately shard-dependent and are
 #: dropped by :func:`masked_metrics` before serial-vs-sharded comparison:
 #: ``sim.queue_depth`` is sampled per *process-local* event cadence, and
 #: ``shard.*`` instruments do not exist serially at all.
 NONPORTABLE_METRICS = ("sim.queue_depth",)
 SHARD_METRIC_PREFIX = "shard."
-
-
-class ShardProtocolError(RuntimeError):
-    """A worker died or the barrier protocol was violated."""
 
 
 @dataclass
@@ -231,236 +228,166 @@ def merge_tagged_alarms(
 
 
 def _worker_main(
-    conn: multiprocessing.connection.Connection,
+    conn: Any,
     shard_id: int,
-    n_shards: int,
     scenario: "HijackScenario",
     assignment: Dict[ASN, int],
     capable: FrozenSet[ASN],
     instrumented: bool,
-    parent_ends: Sequence[Any] = (),
 ) -> None:
     """One shard: build the slice, then obey coordinator commands.
 
-    The coordinator's pipe ends the fork copied in (``parent_ends``) are
-    closed first.  Held open here, they would keep this pipe, or an earlier
-    shard's, from reaching EOF when the coordinator dies, and the worker
-    would wait in ``recv`` forever.
+    Runs in a :class:`~repro.procpool.WorkerPool` child, which owns the
+    pipe's lifetime and reports a raise to the coordinator as a
+    :class:`~repro.procpool.WorkerError`.
     """
-    for end in parent_ends:
-        end.close()
     # Same rationale as Simulator.run's suspension, applied for the whole
     # worker lifetime: per-event garbage is acyclic, and gen-2 scans of the
     # O(topology) graph would otherwise recur every barrier window.  Unlike
     # Simulator.run, nothing re-enables the collector: the worker process
     # exits after one simulation, so no later work runs without it.
     gc.disable()
-    try:
-        from repro.core.deployment import DeploymentPlan
-        from repro.experiments.runner import LINK_DELAY
+    from repro.core.deployment import DeploymentPlan
+    from repro.experiments.runner import LINK_DELAY
 
-        metrics = MetricsRegistry() if instrumented else None
-        sim = ShardSimulator(
-            shard_id,
-            seed=scenario.seed,
-            trace_categories=frozenset(),
-            metrics=metrics,
-        )
-        config = SpeakerConfig(mrai=0.0)
-        network = ShardNetwork(
-            scenario.graph,
-            assignment,
-            shard_id,
-            sim,
-            config=config,
-            link_delay=LINK_DELAY,
-        )
-        origins = frozenset(scenario.origins)
-        attackers = frozenset(scenario.attackers)
-        prefix = scenario.prefix
-        registry = PrefixOriginRegistry()
-        registry.register(prefix, origins)
-        oracle = GroundTruthOracle(registry)
-        alarm_log = _TaggedAlarmLog(sim)
-        plan = DeploymentPlan(capable=capable)
-        checkers: Dict[ASN, MoasChecker] = plan.apply(
-            network,
-            oracle,
-            mode=scenario.checker_mode,
-            shared_alarm_log=alarm_log,
-        )
+    metrics = MetricsRegistry() if instrumented else None
+    sim = ShardSimulator(
+        shard_id,
+        seed=scenario.seed,
+        trace_categories=frozenset(),
+        metrics=metrics,
+    )
+    config = SpeakerConfig(mrai=0.0)
+    network = ShardNetwork(
+        scenario.graph,
+        assignment,
+        shard_id,
+        sim,
+        config=config,
+        link_delay=LINK_DELAY,
+    )
+    origins = frozenset(scenario.origins)
+    attackers = frozenset(scenario.attackers)
+    prefix = scenario.prefix
+    registry = PrefixOriginRegistry()
+    registry.register(prefix, origins)
+    oracle = GroundTruthOracle(registry)
+    alarm_log = _TaggedAlarmLog(sim)
+    plan = DeploymentPlan(capable=capable)
+    checkers: Dict[ASN, MoasChecker] = plan.apply(
+        network,
+        oracle,
+        mode=scenario.checker_mode,
+        shared_alarm_log=alarm_log,
+    )
 
-        # "is not None" throughout: an empty MetricsRegistry is falsy.
-        m_in = (
-            metrics.counter("shard.cross_messages_in")
-            if metrics is not None
-            else None
-        )
-        m_ticks = metrics.counter("shard.ticks") if metrics is not None else None
-        m_solo = (
-            metrics.counter("shard.solo_ticks") if metrics is not None else None
-        )
+    # "is not None" throughout: an empty MetricsRegistry is falsy.
+    m_in = (
+        metrics.counter("shard.cross_messages_in")
+        if metrics is not None
+        else None
+    )
+    m_ticks = metrics.counter("shard.ticks") if metrics is not None else None
+    m_solo = (
+        metrics.counter("shard.solo_ticks") if metrics is not None else None
+    )
 
-        def status() -> Tuple[str, Dict[int, List[MailRecord]], Optional[float]]:
-            return ("status", network.outbox.drain(), sim.queue.peek_time())
+    def status() -> Tuple[str, _Status]:
+        return ("status", (network.outbox.drain(), sim.queue.peek_time()))
 
-        def take_mail(records: List[MailRecord]) -> None:
-            if records:
-                network.deliver_inbound(records)
-                if m_in is not None:
-                    m_in.inc(len(records))
+    def logs() -> Dict[str, Any]:
+        snapshot = metrics.snapshot() if metrics is not None else None
+        return {"alarms": alarm_log.tagged(), "metrics": snapshot}
 
-        while True:
-            command = conn.recv()
-            op = command[0]
-            if op == "ops":
-                _, phase, epoch, now = command
-                sim.begin_ops(epoch, now)
-                if phase == "establish":
-                    network.establish_ops()
-                elif phase == "originate":
-                    communities = (
-                        moas_communities(origins) if len(origins) > 1 else ()
-                    )
-                    network.originate_ops(sorted(origins), prefix, communities)
-                elif phase == "attack":
-                    network.attack_ops(
-                        scenario.strategy, sorted(attackers), prefix, origins
-                    )
-                else:
-                    raise ShardProtocolError(f"unknown ops phase {phase!r}")
-                conn.send(status())
-            elif op == "tick":
-                _, tick_time, epoch, inbound = command
-                take_mail(inbound)
-                if m_ticks is not None:
-                    m_ticks.inc()
-                conn.send(("due", sim.due_report(tick_time)))
-                _, ranks, due = conn.recv()
-                sim.process_tick(tick_time, epoch, due, ranks)
-                conn.send(status())
-            elif op == "solo":
-                _, tick_time, epoch, inbound = command
-                take_mail(inbound)
-                if m_ticks is not None:
-                    m_ticks.inc()
-                if m_solo is not None:
-                    m_solo.inc()
-                due = sim.due_report(tick_time)
-                sim.process_tick(tick_time, epoch, due, sim.solo_ranks(due))
-                conn.send(status())
-            elif op == "mail":
-                _, inbound = command
-                take_mail(inbound)
-                conn.send(status())
-            elif op == "check_established":
-                network.check_established()
-                conn.send(("ok",))
-            elif op == "measure":
-                conn.send(
-                    (
-                        "measured",
-                        {
-                            "best_origins": network.best_origins(prefix),
-                            "updates_sent": network.total_updates_sent(),
-                            "events_processed": sim.events_processed,
-                            "routes_suppressed": sum(
-                                checker.routes_suppressed
-                                for checker in checkers.values()
-                            ),
-                            "alarms": alarm_log.tagged(),
-                            "metrics": (
-                                metrics.snapshot()
-                                if metrics is not None
-                                else None
-                            ),
-                        },
-                    )
+    def take_mail(records: List[MailRecord]) -> None:
+        if records:
+            network.deliver_inbound(records)
+            if m_in is not None:
+                m_in.inc(len(records))
+
+    while True:
+        command = conn.recv()
+        op = command[0]
+        if op == "ops":
+            _, phase, epoch, now = command
+            sim.begin_ops(epoch, now)
+            if phase == "establish":
+                network.establish_ops()
+            elif phase == "originate":
+                communities = (
+                    moas_communities(origins) if len(origins) > 1 else ()
                 )
-            elif op == "snapshot":
-                conn.send(
-                    (
-                        "slice",
-                        {
-                            "network": network.snapshot_state(),
-                            "checkers": {
-                                asn: checkers[asn].snapshot_state()
-                                for asn in sorted(checkers)
-                            },
-                            "alarms": alarm_log.tagged(),
-                            "metrics": (
-                                metrics.snapshot()
-                                if metrics is not None
-                                else None
-                            ),
-                        },
-                    )
+                network.originate_ops(sorted(origins), prefix, communities)
+            elif phase == "attack":
+                network.attack_ops(
+                    scenario.strategy, sorted(attackers), prefix, origins
                 )
-            elif op == "restore":
-                _, payload = command
-                network.restore_state(payload["network"])
-                for asn, state in payload["checkers"].items():
-                    checkers[asn].restore_state(state)
-                if payload["metrics"] is not None:
-                    assert metrics is not None
-                    metrics.restore_snapshot(payload["metrics"])
-                conn.send(("ok",))
-            elif op == "quit":
-                conn.send(("bye",))
-                return
             else:
-                raise ShardProtocolError(f"unknown command {op!r}")
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
-            pass
-        raise
-    finally:
-        conn.close()
+                raise ValueError(f"unknown ops phase {phase!r}")
+            conn.send(status())
+        elif op == "tick":
+            _, tick_time, epoch, inbound = command
+            take_mail(inbound)
+            if m_ticks is not None:
+                m_ticks.inc()
+            conn.send(("due", sim.due_report(tick_time)))
+            _, ranks, due = conn.recv()
+            sim.process_tick(tick_time, epoch, due, ranks)
+            conn.send(status())
+        elif op == "solo":
+            _, tick_time, epoch, inbound = command
+            take_mail(inbound)
+            if m_ticks is not None:
+                m_ticks.inc()
+            if m_solo is not None:
+                m_solo.inc()
+            due = sim.due_report(tick_time)
+            sim.process_tick(tick_time, epoch, due, sim.solo_ranks(due))
+            conn.send(status())
+        elif op == "mail":
+            _, inbound = command
+            take_mail(inbound)
+            conn.send(status())
+        elif op == "check_established":
+            network.check_established()
+            conn.send(("ok", None))
+        elif op == "measure":
+            measured = {
+                "best_origins": network.best_origins(prefix),
+                "updates_sent": network.total_updates_sent(),
+                "events_processed": sim.events_processed,
+                "routes_suppressed": sum(
+                    checker.routes_suppressed for checker in checkers.values()
+                ),
+                **logs(),
+            }
+            conn.send(("measured", measured))
+        elif op == "snapshot":
+            state = {
+                "network": network.snapshot_state(),
+                "checkers": {
+                    asn: checkers[asn].snapshot_state()
+                    for asn in sorted(checkers)
+                },
+                **logs(),
+            }
+            conn.send(("slice", state))
+        elif op == "restore":
+            _, payload = command
+            network.restore_state(payload["network"])
+            for asn, state in payload["checkers"].items():
+                checkers[asn].restore_state(state)
+            if payload["metrics"] is not None:
+                assert metrics is not None
+                metrics.restore_snapshot(payload["metrics"])
+            conn.send(("ok", None))
+        elif command == STOP:
+            return
+        else:
+            raise ValueError(f"unknown command {op!r}")
 
 
 # -- coordinator --------------------------------------------------------------
-
-
-class _Shard:
-    """Coordinator-side handle: one worker process plus its pipe."""
-
-    def __init__(
-        self,
-        shard_id: int,
-        process: multiprocessing.process.BaseProcess,
-        conn: multiprocessing.connection.Connection,
-        stats: ShardStats,
-    ) -> None:
-        self.shard_id = shard_id
-        self.process = process
-        self.conn = conn
-        self._stats = stats
-
-    def send(self, command: Tuple[Any, ...]) -> None:
-        self.conn.send(command)
-
-    def recv(self) -> Tuple[Any, ...]:
-        # Wall-clock spent blocked on workers is the barrier-stall stat —
-        # coordinator bookkeeping, never part of simulated behaviour.
-        waited = time.perf_counter()  # repro-lint: disable=R002
-        try:
-            reply = self.conn.recv()
-        except EOFError:
-            raise ShardProtocolError(
-                f"shard {self.shard_id} died without a reply "
-                f"(exitcode={self.process.exitcode})"
-            )
-        finally:
-            self._stats.barrier_wait_seconds += (
-                time.perf_counter() - waited  # repro-lint: disable=R002
-            )
-        if reply[0] == "error":
-            raise ShardProtocolError(
-                f"shard {self.shard_id} failed:\n{reply[1]}"
-            )
-        return reply
 
 
 class _Coordinator:
@@ -498,53 +425,15 @@ class _Coordinator:
             shard: [] for shard in range(n_shards)
         }
         self.peek: Dict[int, Optional[float]] = {}
-        self.shards: List[_Shard] = []
-        context = multiprocessing.get_context("fork")
-        for shard_id in range(n_shards):
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=_worker_main,
-                args=(
-                    child_conn,
-                    shard_id,
-                    n_shards,
-                    scenario,
-                    self.assignment,
-                    capable,
-                    instrumented,
-                    [parent_conn] + [shard.conn for shard in self.shards],
-                ),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            self.shards.append(
-                _Shard(shard_id, process, parent_conn, self.stats)
-            )
+        self.pool = WorkerPool(
+            _worker_main,
+            n_shards,
+            (scenario, self.assignment, capable, instrumented),
+            name="sim-shard",
+        )
 
-    # -- plumbing ------------------------------------------------------------
-
-    def shutdown(self) -> None:
-        for shard in self.shards:
-            try:
-                shard.send(("quit",))
-                shard.recv()
-            except (ShardProtocolError, BrokenPipeError, OSError):
-                pass
-            finally:
-                shard.conn.close()
-        for shard in self.shards:
-            shard.process.join(timeout=10)
-            if shard.process.is_alive():  # pragma: no cover - hang guard
-                shard.process.terminate()
-                shard.process.join()
-
-    def _absorb_status(self, shard_id: int, reply: Tuple[Any, ...]) -> None:
-        if reply[0] != "status":
-            raise ShardProtocolError(
-                f"shard {shard_id}: expected status, got {reply[0]!r}"
-            )
-        _, mail, peek_time = reply
+    def _absorb_status(self, shard_id: int) -> None:
+        mail, peek_time = self.pool.recv(shard_id, "status")
         self.peek[shard_id] = peek_time
         for dest, records in sorted(mail.items()):
             self.inbound[dest].extend(records)
@@ -565,20 +454,18 @@ class _Coordinator:
         network converge — exactly the serial runner's phase order.
         """
         self.epoch += 1
-        for shard in self.shards:
-            shard.send(("ops", phase, self.epoch, self.now))
-        for shard in self.shards:
-            self._absorb_status(shard.shard_id, shard.recv())
+        for shard_id in range(self.n_shards):
+            self.pool.send(shard_id, ("ops", phase, self.epoch, self.now))
+        for shard_id in range(self.n_shards):
+            self._absorb_status(shard_id)
 
     def run_phase(self, phase: str) -> None:
         """Inject one global setup phase, then drive ticks to quiescence."""
         self.inject_phase(phase)
-        self._run_to_quiescence()
+        self.run_to_quiescence()
 
     def run_to_quiescence(self) -> None:
-        self._run_to_quiescence()
-
-    def _run_to_quiescence(self) -> None:
+        pool = self.pool
         while True:
             times = [t for t in self.peek.values() if t is not None]
             times.extend(
@@ -593,23 +480,20 @@ class _Coordinator:
             self.now = tick
             self.stats.ticks += 1
             due_shards = [
-                shard
-                for shard in self.shards
-                if self.peek[shard.shard_id] == tick
-                or any(
-                    record[2] == tick
-                    for record in self.inbound[shard.shard_id]
-                )
+                shard_id
+                for shard_id in range(self.n_shards)
+                if self.peek[shard_id] == tick
+                or any(record[2] == tick for record in self.inbound[shard_id])
             ]
             mail_shards = [
-                shard
-                for shard in self.shards
-                if shard not in due_shards and self.inbound[shard.shard_id]
+                shard_id
+                for shard_id in range(self.n_shards)
+                if shard_id not in due_shards and self.inbound[shard_id]
             ]
 
-            def take_inbound(shard: _Shard) -> List[MailRecord]:
-                records = self.inbound[shard.shard_id]
-                self.inbound[shard.shard_id] = []
+            def take_inbound(shard_id: int) -> List[MailRecord]:
+                records = self.inbound[shard_id]
+                self.inbound[shard_id] = []
                 return records
 
             if len(due_shards) == 1:
@@ -617,33 +501,32 @@ class _Coordinator:
                 # global order, so the rank exchange round trip is skipped.
                 self.stats.solo_ticks += 1
                 solo = due_shards[0]
-                solo.send(("solo", tick, self.epoch, take_inbound(solo)))
-                for shard in mail_shards:
-                    shard.send(("mail", take_inbound(shard)))
-                self._absorb_status(solo.shard_id, solo.recv())
+                pool.send(solo, ("solo", tick, self.epoch, take_inbound(solo)))
+                for shard_id in mail_shards:
+                    pool.send(shard_id, ("mail", take_inbound(shard_id)))
+                self._absorb_status(solo)
             else:
-                for shard in due_shards:
-                    shard.send(("tick", tick, self.epoch, take_inbound(shard)))
-                for shard in mail_shards:
-                    shard.send(("mail", take_inbound(shard)))
-                reports: Dict[int, List[Any]] = {}
-                for shard in due_shards:
-                    reply = shard.recv()
-                    if reply[0] != "due":
-                        raise ShardProtocolError(
-                            f"shard {shard.shard_id}: expected due report, "
-                            f"got {reply[0]!r}"
-                        )
-                    reports[shard.shard_id] = reply[1]
-                ranks = self._merge_ranks(reports)
-                for shard in due_shards:
-                    shard.send(
-                        ("ranks", ranks[shard.shard_id], reports[shard.shard_id])
+                for shard_id in due_shards:
+                    pool.send(
+                        shard_id,
+                        ("tick", tick, self.epoch, take_inbound(shard_id)),
                     )
-                for shard in due_shards:
-                    self._absorb_status(shard.shard_id, shard.recv())
-            for shard in mail_shards:
-                self._absorb_status(shard.shard_id, shard.recv())
+                for shard_id in mail_shards:
+                    pool.send(shard_id, ("mail", take_inbound(shard_id)))
+                reports: Dict[int, List[Any]] = {
+                    shard_id: pool.recv(shard_id, "due")
+                    for shard_id in due_shards
+                }
+                ranks = self._merge_ranks(reports)
+                for shard_id in due_shards:
+                    pool.send(
+                        shard_id,
+                        ("ranks", ranks[shard_id], reports[shard_id]),
+                    )
+                for shard_id in due_shards:
+                    self._absorb_status(shard_id)
+            for shard_id in mail_shards:
+                self._absorb_status(shard_id)
 
     @staticmethod
     def _merge_ranks(
@@ -665,27 +548,11 @@ class _Coordinator:
 
     # -- state exchange ------------------------------------------------------
 
-    def broadcast_collect(
-        self, command: Tuple[Any, ...], expected: str
-    ) -> List[Any]:
-        for shard in self.shards:
-            shard.send(command)
-        payloads = []
-        for shard in self.shards:
-            reply = shard.recv()
-            if reply[0] != expected:
-                raise ShardProtocolError(
-                    f"shard {shard.shard_id}: expected {expected!r}, "
-                    f"got {reply[0]!r}"
-                )
-            payloads.append(reply[1] if len(reply) > 1 else None)
-        return payloads
-
     def capture_baseline(
         self, key: BaselineKey, instrumented: bool
     ) -> Optional[BaselineSnapshot]:
         """Merge per-shard slices into a serial-format baseline snapshot."""
-        slices = self.broadcast_collect(("snapshot",), "slice")
+        slices = self.pool.broadcast(("snapshot",), "slice")
         network_state = merge_network_snapshots(
             [part["network"] for part in slices]
         )
@@ -711,8 +578,8 @@ class _Coordinator:
     def restore_baseline(self, cached: BaselineSnapshot) -> None:
         """Split a serial-format baseline across the shard fleet."""
         graph = self.scenario.graph
-        for shard in self.shards:
-            shard_id = shard.shard_id
+        messages = []
+        for shard_id in range(self.n_shards):
             payload = {
                 "network": split_network_snapshot(
                     cached.network, graph, self.assignment, shard_id
@@ -726,13 +593,8 @@ class _Coordinator:
                 # counters, so splitting them would double-count).
                 "metrics": cached.metrics if shard_id == 0 else None,
             }
-            shard.send(("restore", payload))
-        for shard in self.shards:
-            reply = shard.recv()
-            if reply[0] != "ok":
-                raise ShardProtocolError(
-                    f"shard {shard.shard_id}: restore failed: {reply!r}"
-                )
+            messages.append(("restore", payload))
+        self.pool.gather(messages, "ok")
         self.now = float(cached.network["sim"]["now"])
 
 
@@ -800,7 +662,7 @@ def run_sharded(
             warm_info["restore_seconds"] = restore_seconds
         else:
             coordinator.run_phase("establish")
-            coordinator.broadcast_collect(("check_established",), "ok")
+            coordinator.pool.broadcast(("check_established",), "ok")
             if scenario.timing is AttackTiming.POST_CONVERGENCE:
                 coordinator.run_phase("originate")
             if warm is not None:
@@ -816,9 +678,10 @@ def run_sharded(
         coordinator.inject_phase("attack")
         coordinator.run_to_quiescence()
 
-        reports = coordinator.broadcast_collect(("measure",), "measured")
+        reports = coordinator.pool.broadcast(("measure",), "measured")
     finally:
-        coordinator.shutdown()
+        coordinator.pool.close()
+    coordinator.stats.barrier_wait_seconds = coordinator.pool.wait_seconds
 
     best_origins: Dict[ASN, Optional[ASN]] = {}
     for report in reports:

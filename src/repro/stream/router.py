@@ -3,12 +3,13 @@
 A single :class:`~repro.stream.engine.StreamEngine` tops out around one
 core's worth of per-update work.  :class:`FeedRouter` scales the service
 across processes by partitioning the prefix space: each **shard** is a
-forked worker owning one engine, and the parent routes every announce /
-withdraw line to ``crc32(prefix) % shards`` without parsing it (a raw-byte
-substring scan — the canonical feed serialisation makes ``"p":"…"`` the
-only place a prefix appears).  Because the dedup key of every alarm starts
-with its prefix, shards never produce duplicate alarms across the fleet,
-and the MOAS-active count for a day is simply the sum of the shard counts.
+forked :class:`~repro.procpool.WorkerPool` worker owning one engine, and
+the parent routes every announce / withdraw line to
+``crc32(prefix) % shards`` without parsing it (a raw-byte substring scan —
+the canonical feed serialisation makes ``"p":"…"`` the only place a prefix
+appears).  Because the dedup key of every alarm starts with its prefix,
+shards never produce duplicate alarms across the fleet, and the
+MOAS-active count for a day is simply the sum of the shard counts.
 
 **Day-boundary synchronisation.**  Each feed carries one tick per day.  The
 router reads every feed up to its day-``D`` tick, flushes the routed lines,
@@ -37,13 +38,13 @@ bit-identical to an uninterrupted sharded run.
 
 A graceful stop (SIGTERM) finishes the in-flight day first, so every
 checkpoint sits on a day boundary and the merged-log ordering above holds
-across interruptions.
+across interruptions.  A shard that raises (on a malformed line, say) or
+dies ends the run with a :class:`~repro.procpool.WorkerError` naming it.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import zlib
 from functools import partial
 from pathlib import Path
@@ -59,6 +60,7 @@ from typing import (
 )
 
 from repro.obs.metrics import MetricsRegistry
+from repro.procpool import STOP, WorkerPool
 from repro.stream.checkpoint import (
     DEFAULT_FULL_EVERY,
     Checkpoint,
@@ -117,30 +119,22 @@ def merged_daily_counts(shard_states: Sequence[Dict[str, Any]]) -> Dict[int, int
 
 
 def _shard_worker(
-    conn: Any,
-    window: float,
-    index_enabled: bool = False,
-    parent_ends: Sequence[Any] = (),
+    conn: Any, index: int, window: float, index_enabled: bool
 ) -> None:
     """One shard: an engine fed raw lines, answering barrier requests.
 
-    Runs in a forked child.  The parent dying (even via ``SIGKILL`` /
-    ``os._exit`` crash injection) closes the pipe, which surfaces here as
-    ``EOFError``/``OSError`` — the worker exits, so crashes never strand
-    shard processes.  That needs the parent's pipe ends the fork copied in
-    (``parent_ends``) closed first: held open here, they would keep this
-    pipe, or an earlier shard's, from ever reaching EOF.
+    Runs in a :class:`~repro.procpool.WorkerPool` child, which owns the
+    pipe's lifetime and reports a raise (a malformed line, say) to the
+    parent as a :class:`~repro.procpool.WorkerError`.
 
     With ``index_enabled`` the shard also runs a
     :class:`~repro.query.track.OriginTracker` beside the engine and ships
     the index events it produced back with each barrier reply (the third
-    tuple element) — the parent's :class:`~repro.query.builder.IndexBuilder`
+    body element) — the parent's :class:`~repro.query.builder.IndexBuilder`
     adopts them in shard-index order.  A shard's per-prefix event order is
     the parent's read order for that prefix, which is why a byte-range
     replay reproduces the live-built index exactly.
     """
-    for end in parent_ends:
-        end.close()
     engine = StreamEngine(window=window)
     tracker = None
     if index_enabled:
@@ -149,70 +143,52 @@ def _shard_worker(
         tracker = OriginTracker()
     pending: List[str] = []
     events: List[List[Any]] = []
-    try:
-        while True:
-            message = conn.recv()
-            tag = message[0]
-            if tag == "lines":
-                for raw in message[1]:
-                    record = parse_feed_line(raw.decode("utf-8"))
-                    if record is not None:
-                        for alarm in engine.apply(record):
-                            pending.append(alarm.to_json_line())
-                        if tracker is not None:
-                            event = tracker.apply(record)
-                            if event is not None:
-                                events.append(event)
-            elif tag == "barrier":
-                day, kind = message[1], message[2]
-                if day is not None:
-                    engine.apply(FeedRecord(op=OP_TICK, time=day))
-                    if tracker is not None:
-                        event = tracker.apply(
-                            FeedRecord(op=OP_TICK, time=day)
-                        )
-                        if event is not None:
-                            events.append(event)
-                payload = capture_state(engine, kind)
-                lines, pending = pending, []
-                shipped, events = events, []
-                conn.send((lines, payload, shipped))
-            elif tag == "restore":
-                engine.restore_state(message[1])
-                if tracker is not None:
-                    from repro.query.track import OriginTracker
 
-                    tracker = OriginTracker.from_live(
-                        {
-                            prefix: [origin for origin, _ in pairs]
-                            for prefix, pairs in message[1]["origins"]
-                        }
-                    )
-                    events = []
-                conn.send(("ok",))
-            elif tag == "stop":
-                return
-    except (EOFError, OSError):
-        return
-    finally:
-        conn.close()
+    def apply(record: FeedRecord) -> None:
+        for alarm in engine.apply(record):
+            pending.append(alarm.to_json_line())
+        if tracker is not None:
+            event = tracker.apply(record)
+            if event is not None:
+                events.append(event)
 
+    while True:
+        message = conn.recv()
+        tag = message[0]
+        if tag == "lines":
+            for raw in message[1]:
+                record = parse_feed_line(raw.decode("utf-8"))
+                if record is not None:
+                    apply(record)
+        elif tag == "barrier":
+            day, kind = message[1], message[2]
+            if day is not None:
+                apply(FeedRecord(op=OP_TICK, time=day))
+            payload = capture_state(engine, kind)
+            lines, pending = pending, []
+            shipped, events = events, []
+            conn.send(("barrier", (lines, payload, shipped)))
+        elif tag == "restore":
+            engine.restore_state(message[1])
+            if tracker is not None:
+                from repro.query.track import OriginTracker
 
-class _Shard:
-    """Parent-side handle: the worker process, its pipe, a line buffer."""
-
-    def __init__(self, index: int, process: Any, conn: Any) -> None:
-        self.index = index
-        self.process = process
-        self.conn = conn
-        self.buffer: List[bytes] = []
+                tracker = OriginTracker.from_live(
+                    {
+                        prefix: [origin for origin, _ in pairs]
+                        for prefix, pairs in message[1]["origins"]
+                    }
+                )
+                events = []
+            conn.send(("ok", None))
+        elif message == STOP:
+            return
 
 
 class _RoutedFeed:
     """One vantage-point feed: raw binary reader with exact byte offsets."""
 
-    def __init__(self, index: int, path: Union[str, Path]) -> None:
-        self.index = index
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self.handle: IO[bytes] = self.path.open("rb")
         self.byte_offset = 0
@@ -295,64 +271,27 @@ class FeedRouter(_StreamDriver):
             self._m_barriers = metrics.counter("router.barriers")
             metrics.gauge("router.shards").set(shards)
 
-    # -- shard lifecycle -------------------------------------------------------
-
-    def _spawn_shards(self) -> List[_Shard]:
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError as exc:  # pragma: no cover - non-POSIX platforms
-            raise RouterError("sharded routing requires fork support") from exc
-        shards: List[_Shard] = []
-        for index in range(self.shards):
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=_shard_worker,
-                args=(
-                    child_conn,
-                    self.window,
-                    self._committer.builder is not None,
-                    [parent_conn] + [shard.conn for shard in shards],
-                ),
-                name=f"stream-shard-{index}",
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            shards.append(_Shard(index, process, parent_conn))
-        return shards
-
-    def _stop_shards(self, shards: List[_Shard]) -> None:
-        for shard in shards:
-            try:
-                shard.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-            shard.conn.close()
-        for shard in shards:
-            shard.process.join(timeout=10)
-            if shard.process.is_alive():  # pragma: no cover - hung worker
-                shard.process.terminate()
-                shard.process.join(timeout=10)
-
-    def _flush_buffers(self, shards: List[_Shard]) -> None:
-        for shard in shards:
-            if shard.buffer:
-                shard.conn.send(("lines", shard.buffer))
-                shard.buffer = []
+    # -- shard barriers --------------------------------------------------------
 
     def _barrier(
-        self, shards: List[_Shard], day: Optional[float], kind: Optional[str]
+        self,
+        pool: WorkerPool,
+        buffers: List[List[bytes]],
+        day: Optional[float],
+        kind: Optional[str],
     ) -> List[Optional[Dict[str, Any]]]:
         """Synchronise every shard; gather alarms (always, in shard-index
         order — this is what fixes the merged-log ordering) and, when
         ``kind`` is set, the per-shard checkpoint payloads."""
-        self._flush_buffers(shards)
-        for shard in shards:
-            shard.conn.send(("barrier", day, kind))
+        for index, buffer in enumerate(buffers):
+            if buffer:
+                pool.send(index, ("lines", buffer))
+                buffers[index] = []
         builder = self._committer.builder
         payloads: List[Optional[Dict[str, Any]]] = []
-        for shard in shards:
-            lines, payload, events = shard.conn.recv()
+        for lines, payload, events in pool.broadcast(
+            ("barrier", day, kind), "barrier"
+        ):
             self._pending.extend(lines)
             payloads.append(payload)
             if builder is not None and events:
@@ -388,7 +327,7 @@ class FeedRouter(_StreamDriver):
     def _restore(
         self,
         feeds: List[_RoutedFeed],
-        shards: List[_Shard],
+        pool: WorkerPool,
         checkpoint: Checkpoint,
     ) -> None:
         state = checkpoint.engine_state
@@ -403,12 +342,9 @@ class FeedRouter(_StreamDriver):
                 f"checkpoint recorded {len(offsets)} feeds, "
                 f"got {len(feeds)}"
             )
-        for shard, shard_state in zip(shards, state["shards"]):
-            shard.conn.send(("restore", shard_state))
-        for shard in shards:
-            reply = shard.conn.recv()
-            if reply != ("ok",):  # pragma: no cover - defensive
-                raise RouterError(f"shard {shard.index} failed to restore")
+        pool.gather(
+            [("restore", shard_state) for shard_state in state["shards"]], "ok"
+        )
         for feed, offset in zip(feeds, offsets):
             feed.seek(int(offset))
         self._epoch = state["epoch"]
@@ -416,7 +352,9 @@ class FeedRouter(_StreamDriver):
 
     # -- the run loop ----------------------------------------------------------
 
-    def _read_to_tick(self, feed: _RoutedFeed, shards: List[_Shard]) -> int:
+    def _read_to_tick(
+        self, feed: _RoutedFeed, buffers: List[List[bytes]]
+    ) -> int:
         """Consume one feed up to (and including) its next tick line,
         routing announce/withdraw lines into shard buffers.  Returns the
         number of records routed."""
@@ -437,22 +375,25 @@ class FeedRouter(_StreamDriver):
                 raise FeedError(
                     f"{feed.path}: unroutable feed line {line[:80]!r}"
                 )
-            shards[target].buffer.append(line)
+            buffers[target].append(line)
             routed += 1
 
     def run(self, resume: bool = False) -> StreamSummary:
         started = self._clock()
         committer = self._committer
-        feeds = [
-            _RoutedFeed(index, path)
-            for index, path in enumerate(self.feed_paths)
-        ]
-        shards = self._spawn_shards()
+        feeds = [_RoutedFeed(path) for path in self.feed_paths]
+        pool = WorkerPool(
+            _shard_worker,
+            self.shards,
+            (self.window, committer.builder is not None),
+            name="stream-shard",
+        )
+        buffers: List[List[bytes]] = [[] for _ in range(self.shards)]
         stopped_early = False
         reached_eof = False
         try:
             committer.open(
-                partial(self._restore, feeds, shards) if resume else None
+                partial(self._restore, feeds, pool) if resume else None
             )
             applied = 0
             since_checkpoint = 0
@@ -469,7 +410,7 @@ class FeedRouter(_StreamDriver):
                     break
                 for feed in live:
                     if feed.pending_tick is None:
-                        routed = self._read_to_tick(feed, shards)
+                        routed = self._read_to_tick(feed, buffers)
                         applied += routed
                         since_checkpoint += routed
                         self._records_total += routed
@@ -494,7 +435,7 @@ class FeedRouter(_StreamDriver):
                 since_checkpoint += 1
                 boundary = since_checkpoint >= self.checkpoint_every
                 kind = committer.next_kind() if boundary else None
-                payloads = self._barrier(shards, day, kind)
+                payloads = self._barrier(pool, buffers, day, kind)
                 self._epoch = day
                 for feed in ticking:
                     feed.pending_tick = None
@@ -506,7 +447,7 @@ class FeedRouter(_StreamDriver):
             # Final barrier: collect the remaining alarms and a full composite
             # state (the summary needs it), committed as the closing full
             # chain record when a chain is configured.
-            final = self._barrier(shards, None, "full")
+            final = self._barrier(pool, buffers, None, "full")
             states = [payload for payload in final if payload is not None]
             self._commit(feeds, "full" if committer.chained else None, final)
             committer.close()
@@ -545,7 +486,7 @@ class FeedRouter(_StreamDriver):
                 daily_series=list(daily.values()),
             )
         finally:
-            self._stop_shards(shards)
+            pool.close()
             for feed in feeds:
                 feed.close()
 

@@ -222,16 +222,15 @@ class TestMrai:
 
 
 class TestResetClearsCaches:
-    def test_export_cache_cleared_on_sim_reset(self, sim):
+    def test_caches_cleared_on_sim_reset(self, sim):
         speakers = linked_speakers(sim, 1, 2, 3)
         speakers[1].originate(P)
         sim.run()
         # Propagation populated the per-speaker memo caches.
-        assert any(s._export_cache for s in speakers.values())
+        assert any(s._prepend_cache for s in speakers.values())
         assert any(s._established_cache is not None for s in speakers.values())
         sim.reset()
         for speaker in speakers.values():
-            assert speaker._export_cache == {}
             assert speaker._prepend_cache == {}
             assert speaker._established_cache is None
 
@@ -239,7 +238,7 @@ class TestResetClearsCaches:
         speaker = BGPSpeaker(sim, 1)
         speaker.clear_caches()
         speaker.clear_caches()
-        assert speaker._export_cache == {}
+        assert speaker._prepend_cache == {}
 
 
 class TestSpeakerMetrics:
@@ -263,12 +262,6 @@ class TestSpeakerMetrics:
         # Counters are network-wide: both forwarding hops contribute to
         # the same named instruments.
         assert snapshot["bgp.updates_received"] <= snapshot["bgp.updates_sent"]
-
-    def test_export_cache_counters(self):
-        registry, _ = self._run_instrumented()
-        snapshot = registry.snapshot()
-        assert snapshot["bgp.export_cache_misses"] > 0
-        assert snapshot["bgp.export_cache_hits"] >= 0
 
     def test_uninstrumented_speaker_has_no_registry_side_effects(self, sim):
         speakers = linked_speakers(sim, 1, 2)

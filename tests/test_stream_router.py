@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -21,6 +22,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.measurement.trace import FaultSpike, TraceConfig, TraceGenerator
+from repro.procpool import WorkerError
 from repro.stream.checkpoint import CheckpointError, load_checkpoint
 from repro.stream.engine import StreamEngine
 from repro.stream.feed import FeedWriter, read_feed, snapshot_deltas
@@ -45,6 +47,17 @@ def write_trace_feed(path, seed=7, config=TRACE_CONFIG):
     generator = TraceGenerator(config, random.Random(seed))
     with FeedWriter(path) as writer:
         return writer.write_all(snapshot_deltas(generator.snapshots()))
+
+
+def write_corrupt_feed(path):
+    """A trace feed whose first announce carries a non-integer origin;
+    returns the shard (of 2) that line routes to."""
+    write_trace_feed(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if b'"op":"A"' in line)
+    lines[at] = re.sub(rb'"o":\d+', b'"o":"x"', lines[at])
+    path.write_bytes(b"".join(lines))
+    return route_line(lines[at], 2)
 
 
 class TestRouting:
@@ -186,6 +199,38 @@ class TestShardedParity:
             FeedRouter(
                 [feed_a, feed_b], tmp_path / "alarms.jsonl", shards=2
             ).run()
+
+
+class TestShardFailure:
+    def test_malformed_line_names_the_shard(self, tmp_path):
+        feed = tmp_path / "bad.jsonl"
+        shard = write_corrupt_feed(feed)
+        with pytest.raises(WorkerError) as info:
+            FeedRouter([feed], tmp_path / "alarms.jsonl", shards=2).run()
+        assert info.value.index == shard
+        assert f"stream-shard {shard} failed" in str(info.value)
+        assert "origin must be an integer, got 'x'" in str(info.value)
+        assert "FeedError" in info.value.remote_traceback
+
+    def test_cli_reports_one_line(self, tmp_path):
+        feed = tmp_path / "bad.jsonl"
+        shard = write_corrupt_feed(feed)
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "stream", "run", str(feed),
+                "--alarms", str(tmp_path / "a.jsonl"), "--shards", "2",
+            ],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith(
+            f"stream run failed: stream-shard {shard} failed: FeedError: "
+            "origin must be an integer, got 'x'"
+        )
 
 
 class TestShardedResume:

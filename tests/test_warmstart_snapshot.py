@@ -172,6 +172,25 @@ class TestRefusals:
         with pytest.raises(SnapshotError, match="topology"):
             big.restore_state(state)
 
+    def test_legacy_export_cache_key_is_ignored(self):
+        # Baselines cached before the speaker's export memo was removed
+        # still carry its key; they must restore and continue identically.
+        graph = line_graph(4)
+        config = SpeakerConfig()
+        original = build(graph, config)
+        original.establish_sessions()
+        original.run_to_convergence()
+        state = original.snapshot_state()
+        for speaker_state in state["speakers"].values():
+            speaker_state["export_cache"] = {}
+
+        clone = build(graph, config)
+        clone.restore_state(state)
+        for network in (original, clone):
+            network.originate(1, PREFIX)
+            network.run_to_convergence()
+        assert final_state(clone) == final_state(original)
+
     def test_snapshot_mid_run_refuses(self):
         network = build(line_graph(2), SpeakerConfig())
         captured = []
