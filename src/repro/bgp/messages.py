@@ -40,8 +40,8 @@ class Message:
 
     # The immutability guard (__setattr__ raises) breaks default pickling
     # of slotted instances; state is restored through object.__setattr__,
-    # mirroring the attribute classes' __reduce__ approach.  Cross-shard
-    # delivery serialises messages through this path.
+    # mirroring the attribute classes' __reduce__ approach.  Warm-start
+    # snapshots pickle in-flight link messages through this path.
     def __getstate__(self) -> dict:
         return {
             name: getattr(self, name)

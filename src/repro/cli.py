@@ -229,22 +229,17 @@ def _cmd_hijack(args: argparse.Namespace) -> int:
     if args.manifest:
         # The single-record manifest path: spec + outcome + metrics.
         outcomes = execute_scenarios(
-            [scenario],
-            manifest=args.manifest,
-            warm_start=args.warm_start,
-            shards=args.shards,
+            [scenario], manifest=args.manifest, warm_start=args.warm_start
         )
         outcome = outcomes[0]
         print(f"manifest written: {args.manifest}")
     elif args.spans:
         run = run_hijack_scenario_instrumented(
-            scenario, warm_start=args.warm_start, shards=args.shards
+            scenario, warm_start=args.warm_start
         )
         outcome = run.outcome
     else:
-        outcome = run_hijack_scenario(
-            scenario, warm_start=args.warm_start, shards=args.shards
-        )
+        outcome = run_hijack_scenario(scenario, warm_start=args.warm_start)
     if args.spans:
         if args.manifest:
             # Manifest runs discard spans in the pool crossing; re-run
@@ -377,7 +372,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         manifest=args.manifest,
         warm_start=args.warm_start,
-        shards=args.shards,
     )
     from repro.experiments.reporting import format_sweep_table
 
@@ -739,12 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     hijack.add_argument("--seed", type=int, default=8)
     hijack.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="partition the run's speakers across N forked shard processes "
-        "(bit-identical to serial; pays off on multi-core machines for "
-        "large --size topologies; see docs/performance.md)",
-    )
-    hijack.add_argument(
         "--manifest", default=None, metavar="PATH",
         help="write a one-record JSONL run manifest (spec, seed, outcome, "
         "metric snapshot, worker id) to PATH",
@@ -815,12 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="simultaneous",
         help="attack timing for every scenario of the sweep "
         "(post-convergence baselines are where --warm-start pays off)",
-    )
-    sweep.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="intra-run sharding for every scenario; composes "
-        "multiplicatively with --workers (keep the product within the "
-        "machine's cores)",
     )
     sweep.add_argument(
         "--warm-start", default=None, metavar="MODE",

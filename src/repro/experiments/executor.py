@@ -257,17 +257,11 @@ class _ScenarioRunner:
     legal serially.
     """
 
-    __slots__ = ("instrumented", "warm_spec", "shards")
+    __slots__ = ("instrumented", "warm_spec")
 
-    def __init__(
-        self,
-        instrumented: bool,
-        warm_spec: WarmStartSpec,
-        shards: int = 1,
-    ) -> None:
+    def __init__(self, instrumented: bool, warm_spec: WarmStartSpec) -> None:
         self.instrumented = instrumented
         self.warm_spec = warm_spec
-        self.shards = shards
 
     def __call__(self, scenario: HijackScenario) -> object:
         graph = scenario.graph
@@ -282,11 +276,9 @@ class _ScenarioRunner:
             scenario = dataclasses.replace(scenario, graph=resolved)
         if self.instrumented:
             return run_hijack_scenario_instrumented(
-                scenario, warm_start=self.warm_spec, shards=self.shards
+                scenario, warm_start=self.warm_spec
             )
-        return run_hijack_scenario(
-            scenario, warm_start=self.warm_spec, shards=self.shards
-        )
+        return run_hijack_scenario(scenario, warm_start=self.warm_spec)
 
 
 def _dedupe_graphs(
@@ -318,7 +310,6 @@ def execute_scenarios(
     workers: Optional[int] = None,
     manifest: Optional[Union[str, Path]] = None,
     warm_start: WarmStartSpec = None,
-    shards: int = 1,
 ) -> List[HijackOutcome]:
     """Run independent hijack scenarios, serially or across processes.
 
@@ -336,16 +327,7 @@ def execute_scenarios(
     :func:`repro.warmstart.resolve_warm_start`).  On the pooled path each
     worker keeps its own cache, so hits accrue as each worker re-encounters
     a baseline it has already built.
-
-    ``shards`` threads intra-run sharding into every scenario (see
-    :func:`repro.experiments.runner.run_hijack_scenario`).  It composes
-    with ``workers``: the total process count is ``workers * shards``, so
-    keep the product at or below the core count — ``--workers`` parallelism
-    across many small scenarios and ``--shards`` parallelism inside few
-    large ones are alternatives, not multipliers.
     """
-    if shards < 1:
-        raise ValueError(f"shard count must be >= 1, got {shards}")
     count = resolve_workers(workers)
     work: Sequence[HijackScenario] = scenarios
     pooled = count > 1 and len(scenarios) >= 2
@@ -355,7 +337,7 @@ def execute_scenarios(
             "pass a warm-start mode string (e.g. 'mem') for workers > 1"
         )
     runner = _ScenarioRunner(
-        instrumented=manifest is not None, warm_spec=warm_start, shards=shards
+        instrumented=manifest is not None, warm_spec=warm_start
     )
     call: _AttributedCall = _AttributedCall(runner)
 

@@ -421,7 +421,6 @@ def _execute_scenario(
 def run_hijack_scenario(
     scenario: HijackScenario,
     warm_start: WarmStartSpec = None,
-    shards: int = 1,
 ) -> HijackOutcome:
     """Execute one run and measure false-route adoption.
 
@@ -429,20 +428,7 @@ def run_hijack_scenario(
     :func:`repro.warmstart.resolve_warm_start`); the default None defers to
     the ``REPRO_WARMSTART`` environment variable.  Warm or cold, the
     outcome is bit-identical (timing fields aside).
-
-    ``shards > 1`` executes the run across that many forked worker
-    processes (see :mod:`repro.experiments.sharded_run`) — bit-identical
-    to the serial engine, faster on multi-core machines for large
-    topologies.  The baseline cache is shared between the two paths.
     """
-    if shards < 1:
-        raise ValueError(f"shard count must be >= 1, got {shards}")
-    if shards > 1:
-        # Imported lazily: sharded_run imports this module for the shared
-        # scenario/outcome types.
-        from repro.experiments.sharded_run import run_hijack_scenario_sharded
-
-        return run_hijack_scenario_sharded(scenario, shards, warm_start=warm_start)
     warm = resolve_warm_start(warm_start)
     return _execute_scenario(scenario, warm=warm)
 
@@ -450,7 +436,6 @@ def run_hijack_scenario(
 def run_hijack_scenario_instrumented(
     scenario: HijackScenario,
     warm_start: WarmStartSpec = None,
-    shards: int = 1,
 ) -> InstrumentedRun:
     """Execute one run with metrics and phase spans enabled.
 
@@ -458,29 +443,7 @@ def run_hijack_scenario_instrumented(
     snapshot — is bit-identical to :func:`run_hijack_scenario`;
     instrumentation only observes.  Module-level and single-argument, so
     the executor can fan it out across the process pool.
-
-    With ``shards > 1`` the metric snapshot is the cross-shard merge
-    (counters and histogram buckets sum; compare against serial snapshots
-    through :func:`repro.experiments.sharded_run.masked_metrics`) and the
-    span list is empty — phase spans are a single-process observation.
     """
-    if shards < 1:
-        raise ValueError(f"shard count must be >= 1, got {shards}")
-    if shards > 1:
-        from repro.experiments.sharded_run import run_sharded
-
-        sharded = run_sharded(
-            scenario, shards, warm_start=warm_start, instrumented=True
-        )
-        assert sharded.metrics is not None
-        return InstrumentedRun(
-            outcome=sharded.outcome,
-            metrics=sharded.metrics,
-            spans=[],
-            worker=os.getpid(),
-            alarms=sharded.alarms,
-            warm_start=sharded.warm_info,
-        )
     warm = resolve_warm_start(warm_start)
     metrics = MetricsRegistry()
     sim = Simulator(

@@ -141,7 +141,6 @@ def run_sweep(
     workers: Optional[int] = None,
     manifest: Optional[str] = None,
     warm_start: WarmStartSpec = None,
-    shards: int = 1,
 ) -> SweepResult:
     """Run one curve: every attacker fraction, 15 runs each.
 
@@ -154,9 +153,6 @@ def run_sweep(
     (:mod:`repro.warmstart`) — the sweep's repeated (topology, origin-set,
     deployment) baselines are then built once and restored thereafter,
     with results guaranteed identical to a cold run.
-    ``shards`` > 1 runs each scenario across that many forked shard
-    processes (intra-run parallelism; composes multiplicatively with
-    ``workers``, so keep ``workers * shards`` within the core budget).
     """
     result = SweepResult(
         deployment=config.deployment,
@@ -170,11 +166,7 @@ def run_sweep(
     # identical to the serial loop.
     flat = [s for _, _, scenarios in per_fraction for s in scenarios]
     all_outcomes = execute_scenarios(
-        flat,
-        workers=workers,
-        manifest=manifest,
-        warm_start=warm_start,
-        shards=shards,
+        flat, workers=workers, manifest=manifest, warm_start=warm_start
     )
 
     cursor = 0

@@ -41,13 +41,6 @@ RULES: Dict[str, str] = {
     "hot-path module bypasses the route intern table; wrap the call in "
     "interner.attributes(...)/interner.as_path(...) so equal routes share "
     "one object",
-    "R009": "cross-shard ordering hazard in a sharded module: id() (a "
-    "process-local address, meaningless across shard boundaries), a direct "
-    "call into a speaker delivery handler (cross-shard traffic must ride "
-    "the mailbox: BoundaryLink.send -> enqueue_inbound/schedule_remote), or "
-    "unordered set consumption inside a mailbox merge/drain path (even "
-    "reductions must see a sorted sequence — float sums are "
-    "order-dependent)",
     "R100": "nondeterminism taint: a value originating from a wall clock, "
     "unseeded randomness, os.urandom, uuid, id()/hash() or unordered set "
     "access flows (possibly through calls) into a determinism-critical "
@@ -138,18 +131,6 @@ _INTERNABLE_CLASSES: FrozenSet[str] = frozenset({"PathAttributes", "AsPath"})
 #: ``interner.attributes(PathAttributes(...))`` is the blessed idiom.
 _INTERNER_METHODS: FrozenSet[str] = frozenset({"attributes", "as_path"})
 
-#: Speaker entry points R009 forbids calling directly from sharded modules:
-#: delivering an UPDATE by hand skips the order keys the mailbox assigns.
-_DIRECT_DELIVERY_METHODS: FrozenSet[str] = frozenset(
-    {"handle_update", "handle_wire"}
-)
-
-#: Function names that constitute a mailbox merge/drain path (R009): where
-#: per-shard streams are combined, every input must arrive in key order.
-_MERGE_PATH_RE = re.compile(
-    r"merge|drain|mail|inbound|deliver|absorb", re.IGNORECASE
-)
-
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
 
@@ -202,14 +183,6 @@ class LintConfig:
         "*/bgp/network.py",
         "*/bgp/messages.py",
     )
-    #: Modules implementing the sharded simulator, where bit-identity with
-    #: the serial engine rests on explicit order keys (R009): no id(), no
-    #: hand-delivered UPDATEs, no unordered set consumption in merge paths.
-    sharded_modules: Tuple[str, ...] = (
-        "*/eventsim/sharded.py",
-        "*/bgp/shardnet.py",
-        "*/experiments/sharded_run.py",
-    )
     #: Methods whose arguments are determinism-critical sinks for R100:
     #: event scheduling keys, alarm evidence, checkpoint payloads, and the
     #: query index's durable segment/manifest documents.
@@ -249,11 +222,6 @@ class LintConfig:
             fnmatch.fnmatch(normalised, pat) for pat in self.hot_path_modules
         )
 
-    def is_sharded_module(self, path: str) -> bool:
-        normalised = path.replace("\\", "/")
-        return any(
-            fnmatch.fnmatch(normalised, pat) for pat in self.sharded_modules
-        )
 
 
 def _parse_suppressions(source: str) -> Dict[int, FrozenSet[str]]:
@@ -323,9 +291,6 @@ class _FileChecker(ast.NodeVisitor):
         # Constructor calls cleared because they feed the interner (R008).
         self._interned_constructions: Set[int] = set()
         self._hot_path = config.is_hot_path_module(path)
-        self._sharded = config.is_sharded_module(path)
-        # Nesting depth of merge/drain-path functions (R009 set checks).
-        self._merge_depth = 0
         self._class_depth = 0
 
     # -- bookkeeping -------------------------------------------------------
@@ -485,21 +450,11 @@ class _FileChecker(ast.NodeVisitor):
         self.generic_visit(node)
         self._scopes.pop()
 
-    def _visit_named_function(
-        self, node: "ast.FunctionDef | ast.AsyncFunctionDef", name: str
-    ) -> None:
-        merge_path = self._sharded and bool(_MERGE_PATH_RE.search(name))
-        if merge_path:
-            self._merge_depth += 1
-        self._visit_function(node, node.args)
-        if merge_path:
-            self._merge_depth -= 1
-
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_named_function(node, node.name)
+        self._visit_function(node, node.args)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_named_function(node, node.name)
+        self._visit_function(node, node.args)
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._visit_function(node, node.args)
@@ -580,64 +535,10 @@ class _FileChecker(ast.NodeVisitor):
 
         # Order-insensitive reducers make their generator argument exempt
         # from R003 (``any(x in s for x in other_set)`` is deterministic).
-        # In a sharded merge path the exemption does not apply: even
-        # reductions must consume a sorted sequence (R009), because float
-        # accumulation is order-dependent and reproducibility across shard
-        # counts is the whole contract.
         if isinstance(func, ast.Name) and func.id in _ORDER_INSENSITIVE_CONSUMERS:
             for arg in node.args:
                 if isinstance(arg, ast.GeneratorExp):
                     self._exempt_generators.add(id(arg))
-                    if self._sharded and self._merge_depth > 0:
-                        for gen in arg.generators:
-                            if self._is_set_expr(gen.iter):
-                                self._report(
-                                    gen.iter,
-                                    "R009",
-                                    f"{func.id}() over a set inside a mailbox "
-                                    "merge path; sort the input — reduction "
-                                    "order must match the serial engine "
-                                    "bit-for-bit",
-                                )
-
-        # R009: ordering hazards that only exist across shard boundaries.
-        if self._sharded:
-            if (
-                isinstance(func, ast.Name)
-                and func.id == "id"
-                and len(node.args) == 1
-            ):
-                self._report(
-                    node,
-                    "R009",
-                    "id() is a process-local address; shards must order and "
-                    "deduplicate by explicit keys, never by address",
-                )
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _DIRECT_DELIVERY_METHODS
-            ):
-                self._report(
-                    node,
-                    "R009",
-                    f"direct call to {func.attr}() hand-delivers an UPDATE "
-                    "outside the mailbox; cross-shard traffic must go "
-                    "through BoundaryLink.send / enqueue_inbound so it "
-                    "carries an order key",
-                )
-            if (
-                self._merge_depth > 0
-                and isinstance(func, ast.Attribute)
-                and func.attr == "pop"
-                and not node.args
-                and self._is_set_expr(func.value)
-            ):
-                self._report(
-                    node,
-                    "R009",
-                    "set.pop() removes an arbitrary element inside a "
-                    "mailbox merge path; pop from a sorted sequence instead",
-                )
 
         # R003: materialising a set into an ordered container.
         if (

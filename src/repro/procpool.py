@@ -1,19 +1,17 @@
 """Forked worker processes behind one request/reply handle.
 
-:class:`WorkerPool` is the process fleet under both parallel drivers, the
-sharded simulator (:mod:`repro.experiments.sharded_run`) and the sharded
-feed router (:mod:`repro.stream.router`); each keeps only its own message
-protocol.  Replies are ``(tag, body)`` pairs.  A worker that raised (its
-traceback is shipped back before it exits), died, or replied with the
-wrong tag surfaces in the parent as one :class:`WorkerError`.  POSIX only:
-workers are forked, so the parent's inputs are inherited copy-on-write
-instead of pickled.
+:class:`WorkerPool` is the process fleet under the sharded feed router
+(:mod:`repro.stream.router`), which keeps only its own message protocol.
+Replies are ``(tag, body)`` pairs.  A worker that raised (its traceback
+is shipped back before it exits), died, or replied with the wrong tag
+surfaces in the parent as one :class:`WorkerError`.  POSIX only: workers
+are forked, so the parent's inputs are inherited copy-on-write instead
+of pickled.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import time
 import traceback
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence
 
@@ -108,8 +106,6 @@ class WorkerPool:
         except ValueError as exc:
             raise ForkUnavailableError(f"{name} workers need fork") from exc
         self.name = name
-        #: Wall seconds spent blocked in :meth:`recv`.
-        self.wait_seconds = 0.0
         self.processes: List[Any] = []
         self._conns: List[Any] = []
         try:
@@ -147,17 +143,10 @@ class WorkerPool:
     def recv(self, index: int, tag: str) -> Any:
         """The body of worker ``index``'s next reply, which must carry
         ``tag``."""
-        # Wall-clock spent blocked on workers is the barrier-stall stat —
-        # bookkeeping, never part of what the workers compute.
-        waited = time.perf_counter()  # repro-lint: disable=R002
         try:
             reply = self._conns[index].recv()
         except (EOFError, OSError):
             raise self._failure(index) from None
-        finally:
-            self.wait_seconds += (
-                time.perf_counter() - waited  # repro-lint: disable=R002
-            )
         if isinstance(reply, _Raised):
             raise self._failure(index, reply)
         framed = isinstance(reply, tuple) and len(reply) == 2

@@ -12,11 +12,12 @@ JSON):
 
 Caching: every data response carries the manifest ETag
 (``"<generation>-<digest>"``); a request presenting it via
-``If-None-Match`` gets ``304 Not Modified`` with no body.  Each request
-first runs :meth:`~repro.query.reader.QueryIndex.reload_if_changed`
-under the server's lock, so a server pointed at a live stream's index
-directory serves fresh boundaries without restarting — the atomic
-manifest replace makes the check safe at any moment.
+``If-None-Match`` gets ``304 Not Modified`` with no body, and its answer
+is never computed.  Each request first runs
+:meth:`~repro.query.reader.QueryIndex.reload_if_changed` under the
+server's lock, so a server pointed at a live stream's index directory
+serves fresh boundaries without restarting — the atomic manifest replace
+makes the check safe at any moment.
 
 The serving path contains no sleeps and no wall-clock reads of its own
 (repro-lint R006/R002 apply to this module like any other): request
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.metrics import Counter, MetricsRegistry
@@ -71,50 +72,26 @@ class QueryRequestHandler(BaseHTTPRequestHandler):
             self.server.m_requests.inc()
         split = urlsplit(self.path)
         params = parse_qs(split.query)
+        index = self.server.index
         try:
             with self.server.lock:
-                self.server.index.reload_if_changed()
-                etag = self.server.index.etag
-                if split.path == "/healthz":
-                    doc: Any = {
-                        "status": "ok",
-                        "generation": self.server.index.generation,
-                        "records": self.server.index.records,
-                    }
-                elif split.path == "/v1/stats":
-                    doc = self.server.index.stats()
-                elif split.path == "/v1/prefix":
-                    values = params.get("p")
-                    if not values:
-                        raise _BadRequest("missing required parameter 'p'")
-                    doc = self.server.index.prefix(values[0])
-                elif split.path == "/v1/top":
-                    k = _int_param(params, "k", 10)
-                    by = params.get("by", ["alarms"])[0]
-                    if by not in TOP_KEYS:
-                        raise _BadRequest(
-                            f"unknown ranking key {by!r}; expected one of "
-                            f"{', '.join(TOP_KEYS)}"
-                        )
-                    doc = self.server.index.top(k, by)
-                elif split.path == "/v1/daily":
-                    kind = params.get("kind", ["alarms"])[0]
-                    if kind not in ("alarms", "moas"):
-                        raise _BadRequest(
-                            f"unknown daily series {kind!r}; expected "
-                            f"alarms|moas"
-                        )
-                    doc = self.server.index.daily(kind)
-                else:
+                index.reload_if_changed()
+                etag = index.etag
+                answer = _route(split.path, params)
+                if answer is None:
                     self._send_error(404, f"no such endpoint: {split.path}")
                     return
+                # The ETag names the whole index, so a revalidation that
+                # matches needs no answer computed.
+                fresh = self.headers.get("If-None-Match") != etag
+                doc = answer(index) if fresh else None
         except _BadRequest as exc:
             self._send_error(400, str(exc))
             return
         except ValueError as exc:  # includes QueryError from a torn reload
             self._send_error(500, str(exc))
             return
-        if self.headers.get("If-None-Match") == etag:
+        if not fresh:
             if self.server.m_not_modified is not None:
                 self.server.m_not_modified.inc()
             self.send_response(304)
@@ -141,6 +118,44 @@ class QueryRequestHandler(BaseHTTPRequestHandler):
 
 class _BadRequest(Exception):
     """A client error the handler turns into a 400 JSON body."""
+
+
+def _route(
+    path: str, params: Dict[str, Any]
+) -> Optional[Callable[[QueryIndex], Any]]:
+    """The answer for ``path`` with its parameters checked, or None for
+    an unknown endpoint.  Raises :class:`_BadRequest` for bad parameters,
+    before any answer is computed."""
+    if path == "/healthz":
+        return lambda index: {
+            "status": "ok",
+            "generation": index.generation,
+            "records": index.records,
+        }
+    if path == "/v1/stats":
+        return lambda index: index.stats()
+    if path == "/v1/prefix":
+        values = params.get("p")
+        if not values:
+            raise _BadRequest("missing required parameter 'p'")
+        return lambda index: index.prefix(values[0])
+    if path == "/v1/top":
+        k = _int_param(params, "k", 10)
+        by = params.get("by", ["alarms"])[0]
+        if by not in TOP_KEYS:
+            raise _BadRequest(
+                f"unknown ranking key {by!r}; expected one of "
+                f"{', '.join(TOP_KEYS)}"
+            )
+        return lambda index: index.top(k, by)
+    if path == "/v1/daily":
+        kind = params.get("kind", ["alarms"])[0]
+        if kind not in ("alarms", "moas"):
+            raise _BadRequest(
+                f"unknown daily series {kind!r}; expected alarms|moas"
+            )
+        return lambda index: index.daily(kind)
+    return None
 
 
 def _int_param(params: Dict[str, Any], key: str, default: int) -> int:

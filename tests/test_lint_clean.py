@@ -22,8 +22,6 @@ SRC_ROOT = Path(repro.__file__).parent
 EXPECTED_SNAPSHOT_CLASSES = {
     "repro.bgp.damping.RouteFlapDamper",
     "repro.bgp.network.Network",
-    "repro.bgp.shardnet.BoundaryLink",
-    "repro.bgp.shardnet.ShardNetwork",
     "repro.bgp.rib.AdjRibIn",
     "repro.bgp.rib.AdjRibOut",
     "repro.bgp.rib.LocRib",

@@ -28,9 +28,6 @@ SPEC_CONFIG = LintConfig(spec_modules=("*/r005_bad.py", "*/clean.py"))
 #: Config under which the R008 hot-path check fires for the fixture files.
 HOT_PATH_CONFIG = LintConfig(hot_path_modules=("*/r008_bad.py",))
 
-#: Config under which the R009 sharded-module checks fire for the fixtures.
-SHARDED_CONFIG = LintConfig(sharded_modules=("*/r009_bad.py",))
-
 
 def rules_hit(violations):
     return {v.rule for v in violations}
@@ -185,58 +182,6 @@ class TestRulePositives:
         src = "a = PathAttributes()  # repro-lint: disable=R008\n"
         assert lint_source(src, path="x/bgp/speaker.py") == []
 
-    def test_r009_sharded_ordering_hazards(self):
-        violations = lint_file(FIXTURES / "r009_bad.py", config=SHARDED_CONFIG)
-        assert rules_hit(violations) == {"R009"}
-        # Two id() calls, handle_update, handle_wire, sum over a set in a
-        # merge path, set.pop() in a merge path.
-        assert len(violations) == 6
-
-    def test_r009_only_fires_in_sharded_modules(self):
-        # The default config's sharded patterns name the real simulator
-        # modules, so the fixture is an ordinary file — and none of its
-        # hazards are hazards outside a shard boundary.
-        assert lint_file(FIXTURES / "r009_bad.py") == []
-
-    def test_r009_id_flagged_anywhere_in_sharded_module(self):
-        src = "def f(x):\n    return id(x)\n"
-        violations = lint_source(src, path="x/eventsim/sharded.py")
-        assert rules_hit(violations) == {"R009"}
-
-    def test_r009_merge_path_reduction_needs_sorted(self):
-        src = (
-            "def merge_slices(keys):\n"
-            "    pending = set(keys)\n"
-            "    return sum(k for k in pending)\n"
-        )
-        violations = lint_source(src, path="x/bgp/shardnet.py")
-        assert rules_hit(violations) == {"R009"}
-
-    def test_r009_sorted_merge_path_ok(self):
-        src = (
-            "def merge_slices(keys):\n"
-            "    pending = set(keys)\n"
-            "    return sum(k for k in sorted(pending))\n"
-        )
-        assert lint_source(src, path="x/bgp/shardnet.py") == []
-
-    def test_r009_reduction_outside_merge_path_ok(self):
-        # Outside a merge/drain path the R003 exemption stands even in a
-        # sharded module: plain reductions over local sets are fine.
-        src = (
-            "def count_big(keys):\n"
-            "    pending = set(keys)\n"
-            "    return sum(1 for k in pending if k > 2)\n"
-        )
-        assert lint_source(src, path="x/bgp/shardnet.py") == []
-
-    def test_r009_suppression(self):
-        src = (
-            "def f(x):\n"
-            "    return id(x)  # repro-lint: disable=R009\n"
-        )
-        assert lint_source(src, path="x/experiments/sharded_run.py") == []
-
 
 class TestRuleNegatives:
     def test_clean_fixture_is_clean(self):
@@ -306,7 +251,7 @@ class TestInfrastructure:
     def test_rule_catalogue_complete(self):
         assert set(RULES) == {
             "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
-            "R009", "R100", "R101",
+            "R100", "R101",
         }
 
 

@@ -136,6 +136,24 @@ class TestEndpoints:
         assert snapshot["query.requests"] >= 2
         assert snapshot["query.not_modified"] == 1
 
+    def test_not_modified_computes_no_answer(self, server, monkeypatch):
+        base, httpd, _ = server
+        calls = []
+        stats = httpd.index.stats
+
+        def counting_stats():
+            calls.append(1)
+            return stats()
+
+        monkeypatch.setattr(httpd.index, "stats", counting_stats)
+        status, headers, _ = get(base, "/v1/stats")
+        assert status == 200 and len(calls) == 1
+        status, _, body = get(
+            base, "/v1/stats", headers={"If-None-Match": headers["ETag"]}
+        )
+        assert status == 304 and body == b""
+        assert len(calls) == 1
+
 
 class TestLiveReload:
     def test_new_generation_served_without_restart(self, store, tmp_path):
