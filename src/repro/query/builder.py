@@ -15,11 +15,12 @@ and the chain write::
 That ordering is the whole durability argument: the manifest is the
 index's commit point and always lands last, so the on-disk index can only
 ever be *at or behind* the checkpoint chain, never ahead.  Resume is
-therefore always :meth:`resume`'s catch-up — fold the manifested segments
-back into tracker state, replay the feed/alarm byte gap up to the chain
-tip, publish one catch-up segment — or, when the manifest is missing,
-foreign, or ahead of the chain (a stale index from some other run), a
-from-scratch rebuild.  A manifest that exists but cannot be parsed is
+therefore always :meth:`resume`'s catch-up — seed tracker state from the
+chain tip when the manifest is at it, or else fold the manifested
+segments back into tracker state, replay the feed/alarm byte gap up to
+the chain tip and publish one catch-up segment — or, when the manifest is
+missing, foreign, or ahead of the chain (a stale index from some other
+run), a from-scratch rebuild.  A manifest that exists but cannot be parsed is
 **refused** (:class:`~repro.query.track.QueryError`), never overwritten:
 rebuild-or-refuse, no torn state.
 
@@ -44,6 +45,7 @@ from repro.query.segments import (
     manifest_doc,
     manifest_entry,
     reap_unreferenced,
+    verify_segment,
     write_manifest,
     write_segment,
 )
@@ -145,16 +147,27 @@ class IndexBuilder:
         feeds: Sequence[Union[str, Path]],
         alarms: Union[str, Path],
         end: Dict[str, Any],
+        tip: Dict[str, Any],
     ) -> None:
         """Bring the on-disk index up to the chain tip's coordinates.
 
         ``end`` comes from
-        :meth:`repro.stream.checkpoint.Checkpoint.index_coordinates`.  The
-        manifest (the index commit point) can only be at or behind it; a
-        manifest *ahead* of the chain is a stale index from a longer prior
-        run and triggers a from-scratch rebuild, as does a mode or
-        feed-count mismatch.  The replayed gap is published immediately as
-        one catch-up segment, so the run loop starts from a clean buffer.
+        :meth:`repro.stream.checkpoint.Checkpoint.index_coordinates`, and
+        ``tip`` is the same checkpoint's engine document.  The manifest
+        (the index commit point) can only be at or behind it; a manifest
+        *ahead* of the chain is a stale index from a longer prior run and
+        triggers a from-scratch rebuild, as does a mode or feed-count
+        mismatch.
+
+        A manifest that ends exactly at ``end`` (every graceful stop) seeds
+        the origin tracker from ``tip``'s live origin sets, so resume costs
+        O(live state) however many segments exist.  Only a manifest behind
+        the tip (a crash between the chain write and the manifest publish)
+        folds the manifested segments back into the tracker and replays the
+        feed/alarm byte gap, published at once as one catch-up segment so
+        the run loop starts from a clean buffer.  Either way every
+        manifested segment is checked against its manifest digest, and a
+        missing or altered one is refused.
         """
         mode = MODE_ROUTER if "feed_offsets" in end else MODE_SINGLE
         self.index_dir.mkdir(parents=True, exist_ok=True)
@@ -170,7 +183,15 @@ class IndexBuilder:
             self._entries = [dict(entry) for entry in manifest["segments"]]
             self._generation = int(manifest["generation"])
             self._last_end = dict(manifest["end"])
-            self._restore_tracker()
+            if self._last_end == dict(end):
+                for entry in self._entries:
+                    verify_segment(
+                        self.index_dir / str(entry["name"]),
+                        str(entry["digest"]),
+                    )
+                self._tracker = OriginTracker.from_engine_state(tip)
+            else:
+                self._restore_tracker()
             start = dict(self._last_end)
         self.catchup_records += self._replay_gap(feeds, alarms, start, end)
         if self._m_catchup is not None and self.catchup_records:

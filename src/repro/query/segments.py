@@ -226,6 +226,27 @@ def load_segment(
     return doc
 
 
+def verify_segment(path: Union[str, Path], expect_digest: str) -> None:
+    """Check one segment file against its manifest digest, bytes only.
+
+    :func:`write_segment` writes exactly ``canonical_json(doc) + "\\n"``,
+    so hashing the file's bytes gives :func:`segment_digest` of the
+    document it holds without decoding it; any other bytes (a missing
+    newline, an edit, a truncation) fail the check.
+    """
+    target = Path(path)
+    try:
+        raw = target.read_bytes()
+    except FileNotFoundError as exc:
+        raise QueryError(f"missing index segment {target}") from exc
+    found = hashlib.sha256(raw[:-1]).hexdigest()[:16]
+    if not raw.endswith(b"\n") or found != expect_digest:
+        raise QueryError(
+            f"segment {target} digest mismatch: manifest expects "
+            f"{expect_digest}, file hashes to {found}"
+        )
+
+
 def load_manifest(directory: Union[str, Path]) -> Optional[Dict[str, Any]]:
     """Load the manifest, ``None`` when the index has never been built.
 

@@ -65,6 +65,27 @@ class OriginTracker:
                 tracker.moas_active += 1
         return tracker
 
+    @classmethod
+    def from_engine_state(cls, state: Mapping[str, Any]) -> "OriginTracker":
+        """Rebuild a tracker from a checkpointed engine document.
+
+        ``state`` is one :meth:`~repro.stream.engine.StreamEngine.snapshot_state`
+        document, or a router composite whose shards' prefix sets are
+        disjoint.  An engine's ``origins`` are exactly the live origin sets
+        a tracker folds from the same records (both drop an origin on its
+        withdrawal and a prefix with its last origin; eviction only touches
+        prefixes with none), so this equals the tracker at the same feed
+        position.
+        """
+        shards = state["shards"] if "shards" in state else [state]
+        return cls.from_live(
+            {
+                prefix: [origin for origin, _ in pairs]
+                for shard in shards
+                for prefix, pairs in shard["origins"]
+            }
+        )
+
     def live_state(self) -> Dict[str, List[int]]:
         """JSON-safe live origin sets (sorted), for hand-off and tests."""
         return {prefix: sorted(self.live[prefix]) for prefix in sorted(self.live)}

@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.fsio import fsync_parent_dir
-from repro.stream.delta import apply_state_delta
+from repro.stream.delta import StateFold, state_fold
 
 CHECKPOINT_FORMAT = "repro-stream-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -330,11 +330,20 @@ def load_chain(path: Union[str, Path]) -> LoadedChain:
     target = Path(path)
     if not target.exists():
         raise CheckpointError(f"no checkpoint at {target}")
-    full = Checkpoint.from_json(target.read_text(encoding="utf-8"))
-    base_digest = full.digest()
+    snapshot = target.read_bytes()
+    full = Checkpoint.from_json(snapshot.decode("utf-8"))
+    # write_full writes exactly ``to_json() + "\n"``.  When the first delta
+    # names the hash of those bytes as its base, the file holds the
+    # canonical form and that hash is ``full.digest()``, so the snapshot
+    # need not be re-serialised; any other base is checked against
+    # ``full.digest()`` itself.
+    file_digest = hashlib.sha256(snapshot[:-1]).hexdigest()[:16]
+    base_digest: Optional[str] = None
 
     delta_file = delta_path_for(target)
-    state = full.engine_state
+    # Every delta folds into one unpacked copy of the snapshot, which is
+    # sorted and materialised once after the last valid line.
+    fold: Optional[StateFold] = None
     offset = full.offset
     byte_offset = full.byte_offset
     alarm_lines = full.alarm_lines
@@ -368,6 +377,12 @@ def load_chain(path: Union[str, Path]) -> LoadedChain:
                     f"unsupported delta version {record.get('version')!r} "
                     f"in {delta_file}"
                 )
+            if base_digest is None:
+                base_digest = (
+                    file_digest
+                    if record.get("base") == file_digest
+                    else full.digest()
+                )
             if record.get("base") != base_digest:
                 raise CheckpointError(
                     f"delta line {seq + 1} in {delta_file} chains from base "
@@ -383,7 +398,9 @@ def load_chain(path: Union[str, Path]) -> LoadedChain:
                 new_byte_offset = int(record["byte_offset"])
                 new_alarm_lines = int(record["alarm_lines"])
                 new_alarm_bytes = int(record["alarm_bytes"])
-                state = apply_state_delta(state, dict(record["delta"]))
+                if fold is None:
+                    fold = state_fold(full.engine_state)
+                fold.apply(dict(record["delta"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise CheckpointError(
                     f"malformed delta line {seq + 1} in {delta_file}: {exc}"
@@ -399,6 +416,16 @@ def load_chain(path: Union[str, Path]) -> LoadedChain:
             alarm_bytes = new_alarm_bytes
             seq += 1
             valid_bytes = consumed
+    if base_digest is None:
+        base_digest = full.digest()
+    state = full.engine_state
+    if fold is not None:
+        try:
+            state = fold.document()
+        except TypeError as exc:  # alarm entries whose keys cannot be ordered
+            raise CheckpointError(
+                f"malformed delta chain in {delta_file}: {exc}"
+            ) from exc
     tip = Checkpoint(
         offset=offset,
         byte_offset=byte_offset,

@@ -12,22 +12,30 @@ This module owns the pure state algebra, deliberately free of any file
 I/O so it can be property-tested in isolation and reused by both the
 single-engine service and the sharded router:
 
-* :func:`apply_engine_delta` — fold one engine delta (produced by
-  :meth:`StreamEngine.delta_state`) into a full engine-state document,
-  returning a canonical document equal to what ``snapshot_state`` would
-  have produced at that boundary;
-* :func:`apply_state_delta` — the same fold for *router* composite states
-  (one engine state per shard plus feed coordinates).
+* :func:`state_fold` — unpack a full document (an engine state, or a
+  router composite with one engine state per shard plus feed coordinates)
+  into dicts once; each :meth:`~EngineFold.apply` folds one delta into
+  them, and :meth:`~EngineFold.document` sorts and materialises the
+  canonical document once, equal to what ``snapshot_state`` would have
+  produced at the last folded boundary.  The chain loader
+  (:func:`repro.stream.checkpoint.load_chain`) folds every delta line of
+  a chain through one fold, so replaying a chain costs O(state + delta
+  bytes) and computes each prefix's sort key once, however long the chain;
+* :func:`apply_engine_delta` / :func:`apply_state_delta` — one-delta calls
+  of the same fold, for engine and router composite documents.
 
 Delta semantics are **set-to-value**: each dirtied key carries its complete
 current value, with ``None`` meaning "deleted".  Applying a delta is
 therefore idempotent, and replay order is the only thing that matters —
 which is exactly what the chain loader enforces with sequence numbers.
+Every check a delta can fail (a missing scalar, a malformed entry, an
+unparsable prefix, a shard-count mismatch) raises from :meth:`apply`, so
+the loader can name the offending line.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.net.addresses import Prefix
 
@@ -40,6 +48,9 @@ ENGINE_SCALARS = (
     "alarm_duplicates",
     "evictions",
 )
+
+#: Router composite keys a delta may overwrite besides its shards.
+COMPOSITE_KEYS = ("feed_offsets", "epoch", "feed_ticks")
 
 
 def _prefix_order(name: str) -> Tuple[Any, ...]:
@@ -57,6 +68,137 @@ def _alarm_sort_key(entry: List[Any]) -> Tuple[Any, ...]:
     )
 
 
+class EngineFold:
+    """One engine-state document, unpacked into dicts and folded in place."""
+
+    __slots__ = ("_scalars", "_days", "_origins", "_observed", "_activity",
+                 "_alarms", "_order")
+
+    def __init__(self, state: Dict[str, Any]) -> None:
+        self._scalars = {name: state[name] for name in ENGINE_SCALARS}
+        self._days = {
+            int(day): int(count) for day, count in state["daily_counts"]
+        }
+        self._origins = {name: live for name, live in state["origins"]}
+        self._observed = {name: lists for name, lists in state["observed"]}
+        self._activity = {name: last for name, last in state["last_activity"]}
+        self._alarms: Dict[Tuple[Any, ...], List[Any]] = {
+            _alarm_sort_key(entry): entry for entry in state["alarm_counts"]
+        }
+        # Each prefix's sort key, parsed once for the life of the fold.
+        order: Dict[str, Tuple[Any, ...]] = {}
+        for table in (self._origins, self._observed, self._activity):
+            for name in table:
+                if name not in order:
+                    order[name] = _prefix_order(name)
+        self._order = order
+
+    def _fold_prefixes(
+        self, table: Dict[str, Any], entries: List[Any]
+    ) -> None:
+        order = self._order
+        for name, value in entries:
+            if value is None:
+                table.pop(name, None)
+                continue
+            if name not in order:
+                order[name] = _prefix_order(name)
+            table[name] = value
+
+    def apply(self, delta: Dict[str, Any]) -> "EngineFold":
+        """Fold one engine delta (see :meth:`StreamEngine.delta_state`)."""
+        scalars = {name: delta[name] for name in ENGINE_SCALARS}
+        for day, count in delta.get("days", []):
+            self._days[int(day)] = int(count)
+        # The three per-prefix components are dirtied (and shipped)
+        # independently — see StreamEngine.delta_state.
+        self._fold_prefixes(self._origins, delta.get("origins", []))
+        self._fold_prefixes(self._observed, delta.get("observed", []))
+        self._fold_prefixes(self._activity, delta.get("activity", []))
+        for entry in delta.get("alarms", []):
+            key = _alarm_sort_key(entry)
+            if entry[5] is None:
+                self._alarms.pop(key, None)
+            else:
+                self._alarms[key] = entry
+        self._scalars = scalars
+        return self
+
+    def _sorted_pairs(self, table: Dict[str, Any]) -> List[List[Any]]:
+        order = self._order
+        return [
+            [name, table[name]]
+            for name in sorted(table, key=order.__getitem__)
+        ]
+
+    def document(self) -> Dict[str, Any]:
+        """The canonical document, sorted exactly as ``snapshot_state``."""
+        merged: Dict[str, Any] = dict(self._scalars)
+        days = self._days
+        merged["daily_counts"] = [[day, days[day]] for day in sorted(days)]
+        merged["origins"] = self._sorted_pairs(self._origins)
+        merged["observed"] = self._sorted_pairs(self._observed)
+        merged["last_activity"] = self._sorted_pairs(self._activity)
+        merged["alarm_counts"] = [
+            self._alarms[key] for key in sorted(self._alarms)
+        ]
+        return merged
+
+
+class CompositeFold:
+    """A router composite document: one :class:`EngineFold` per shard.
+
+    A shard no delta has touched yet keeps its document object as given,
+    unfolded and unsorted.
+    """
+
+    __slots__ = ("_doc", "_states", "_folds")
+
+    def __init__(self, state: Dict[str, Any]) -> None:
+        self._doc = dict(state)
+        self._states: List[Dict[str, Any]] = list(state["shards"])
+        self._folds: List[Optional[EngineFold]] = [None] * len(self._states)
+
+    def apply(self, delta: Dict[str, Any]) -> "CompositeFold":
+        """Fold one composite delta: one engine delta (or ``None``) per
+        shard, in shard order, plus the feed fan-in coordinates."""
+        shard_deltas: List[Optional[Dict[str, Any]]] = list(delta["shards"])
+        if len(self._states) != len(shard_deltas):
+            raise ValueError(
+                f"delta has {len(shard_deltas)} shards, state has "
+                f"{len(self._states)}"
+            )
+        for index, shard_delta in enumerate(shard_deltas):
+            if shard_delta is None:
+                continue
+            fold = self._folds[index]
+            if fold is None:
+                fold = self._folds[index] = EngineFold(self._states[index])
+            fold.apply(shard_delta)
+        for key in COMPOSITE_KEYS:
+            if key in delta:
+                self._doc[key] = delta[key]
+        return self
+
+    def document(self) -> Dict[str, Any]:
+        merged = dict(self._doc)
+        merged["shards"] = [
+            state if fold is None else fold.document()
+            for state, fold in zip(self._states, self._folds)
+        ]
+        return merged
+
+
+StateFold = Union[EngineFold, CompositeFold]
+
+
+def state_fold(state: Dict[str, Any]) -> StateFold:
+    """The fold for an engine state or a router composite state."""
+    if "shards" in state:
+        return CompositeFold(state)
+    return EngineFold(state)
+
+
 def apply_engine_delta(
     state: Dict[str, Any], delta: Dict[str, Any]
 ) -> Dict[str, Any]:
@@ -67,56 +209,7 @@ def apply_engine_delta(
     deltas replay to bit-identical documents regardless of where the full
     snapshot fell.
     """
-    days = {int(day): int(count) for day, count in state["daily_counts"]}
-    for day, count in delta.get("days", []):
-        days[int(day)] = int(count)
-
-    origins = {name: live for name, live in state["origins"]}
-    observed = {name: lists for name, lists in state["observed"]}
-    activity = {name: last for name, last in state["last_activity"]}
-    # The three per-prefix components are dirtied (and shipped)
-    # independently — see StreamEngine.delta_state.
-    for name, live in delta.get("origins", []):
-        if live is None:
-            origins.pop(name, None)
-        else:
-            origins[name] = live
-    for name, lists in delta.get("observed", []):
-        if lists is None:
-            observed.pop(name, None)
-        else:
-            observed[name] = lists
-    for name, last in delta.get("activity", []):
-        if last is None:
-            activity.pop(name, None)
-        else:
-            activity[name] = last
-
-    alarms: Dict[Tuple[Any, ...], List[Any]] = {
-        tuple(_alarm_sort_key(entry)): entry for entry in state["alarm_counts"]
-    }
-    for entry in delta.get("alarms", []):
-        key = tuple(_alarm_sort_key(entry))
-        count = entry[5]
-        if count is None:
-            alarms.pop(key, None)
-        else:
-            alarms[key] = entry
-    merged: Dict[str, Any] = {
-        name: delta[name] for name in ENGINE_SCALARS
-    }
-    merged["daily_counts"] = [[day, days[day]] for day in sorted(days)]
-    merged["origins"] = [
-        [name, origins[name]] for name in sorted(origins, key=_prefix_order)
-    ]
-    merged["observed"] = [
-        [name, observed[name]] for name in sorted(observed, key=_prefix_order)
-    ]
-    merged["last_activity"] = [
-        [name, activity[name]] for name in sorted(activity, key=_prefix_order)
-    ]
-    merged["alarm_counts"] = [alarms[key] for key in sorted(alarms)]
-    return merged
+    return EngineFold(state).apply(delta).document()
 
 
 def apply_state_delta(
@@ -128,22 +221,4 @@ def apply_state_delta(
     ``"shards"`` plus the feed-fan-in coordinates; their deltas carry one
     engine delta per shard in shard order.
     """
-    if "shards" not in state:
-        return apply_engine_delta(state, delta)
-    shard_states: List[Dict[str, Any]] = list(state["shards"])
-    shard_deltas: List[Optional[Dict[str, Any]]] = list(delta["shards"])
-    if len(shard_states) != len(shard_deltas):
-        raise ValueError(
-            f"delta has {len(shard_deltas)} shards, state has "
-            f"{len(shard_states)}"
-        )
-    merged = dict(state)
-    merged["shards"] = [
-        shard_state if shard_delta is None
-        else apply_engine_delta(shard_state, shard_delta)
-        for shard_state, shard_delta in zip(shard_states, shard_deltas)
-    ]
-    for key in ("feed_offsets", "epoch", "feed_ticks"):
-        if key in delta:
-            merged[key] = delta[key]
-    return merged
+    return state_fold(state).apply(delta).document()

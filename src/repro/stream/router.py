@@ -173,12 +173,7 @@ def _shard_worker(
             if tracker is not None:
                 from repro.query.track import OriginTracker
 
-                tracker = OriginTracker.from_live(
-                    {
-                        prefix: [origin for origin, _ in pairs]
-                        for prefix, pairs in message[1]["origins"]
-                    }
-                )
+                tracker = OriginTracker.from_engine_state(message[1])
                 events = []
             conn.send(("ok", None))
         elif message == STOP:

@@ -423,7 +423,12 @@ class BoundaryCommitter:
             # The index catches up to what is durable in *this* log file.
             end = checkpoint.index_coordinates()
             end["alarm_bytes"] = self.alarm_bytes
-            self.builder.resume(feeds=self._feeds, alarms=self.alarms_path, end=end)
+            self.builder.resume(
+                feeds=self._feeds,
+                alarms=self.alarms_path,
+                end=end,
+                tip=checkpoint.engine_state,
+            )
 
     def _truncate_log(self, keep: int) -> None:
         """Roll the log back to the chain's durable prefix of ``keep`` bytes.

@@ -22,7 +22,9 @@ from repro.measurement.trace import FaultSpike, TraceConfig, TraceGenerator
 from repro.query import QueryIndex, answers_doc, canonical_json, scan_state
 from repro.query.segments import MANIFEST_NAME, load_manifest
 from repro.query.track import QueryError
+from repro.stream.checkpoint import load_chain
 from repro.stream.feed import FeedWriter, snapshot_deltas
+from repro.stream.router import FeedRouter
 from repro.stream.service import FAULT_EXIT_CODE, StreamService
 
 TRACE_CONFIG = TraceConfig(
@@ -247,3 +249,54 @@ class TestSubprocessCrash:
         assert done.returncode == 0, done.stderr
         assert canonical_json(answers_doc(QueryIndex(idx).state)) == expected
         assert list(idx.glob("*.tmp")) == []
+
+
+class TestResumeSegmentCheck:
+    """Resume checks every manifested segment against its manifest digest,
+    also when the manifest is at the chain tip and no segment is folded."""
+
+    def make_driver(self, driver, feed, alarms, cp, idx, **extra):
+        if driver == "service":
+            return StreamService(
+                feed, alarms, cp, index=idx, **SERVICE_KWARGS, **extra
+            )
+        return FeedRouter(
+            [feed], alarms, cp, shards=2, checkpoint_every=120,
+            full_every=4, index=idx, **extra,
+        )
+
+    @pytest.mark.parametrize("driver", ["service", "router"])
+    @pytest.mark.parametrize("damage", ["flip-byte", "delete"])
+    def test_damaged_old_segment_refuses_resume(
+        self, tmp_path, trace_feed, driver, damage
+    ):
+        feed, _ = trace_feed
+        alarms = tmp_path / "alarms.jsonl"
+        cp = tmp_path / "cp.json"
+        idx = tmp_path / "idx"
+        self.make_driver(
+            driver, feed, alarms, cp, idx, max_records=2000
+        ).run()
+        manifest = load_manifest(idx)
+        # A graceful stop leaves the manifest exactly at the chain tip.
+        assert manifest["end"] == (
+            load_chain(cp).checkpoint.index_coordinates()
+        )
+        assert len(manifest["segments"]) > 2
+        oldest = idx / manifest["segments"][0]["name"]
+        if damage == "delete":
+            oldest.unlink()
+            match = "missing index segment"
+        else:
+            # Alter one digit: the file still decodes, only its digest
+            # can tell.
+            raw = bytearray(oldest.read_bytes())
+            at = next(
+                i for i in range(len(raw) // 2, len(raw))
+                if chr(raw[i]).isdigit()
+            )
+            raw[at] ^= 0x01
+            oldest.write_bytes(bytes(raw))
+            match = "digest mismatch"
+        with pytest.raises(QueryError, match=match):
+            self.make_driver(driver, feed, alarms, cp, idx).run(resume=True)

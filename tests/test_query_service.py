@@ -23,8 +23,9 @@ import pytest
 from repro.measurement.trace import FaultSpike, TraceConfig, TraceGenerator
 from repro.obs.metrics import MetricsRegistry
 from repro.query import QueryIndex, answers_doc, build_index, canonical_json, scan_state
+from repro.query.builder import IndexBuilder
 from repro.query.segments import load_manifest
-from repro.stream.checkpoint import load_checkpoint
+from repro.stream.checkpoint import load_chain, load_checkpoint
 from repro.stream.feed import FeedWriter, snapshot_deltas
 from repro.stream.router import FeedRouter
 from repro.stream.service import StreamService
@@ -296,6 +297,103 @@ class TestSummaryParity:
         assert [count for _, count in index.daily("moas")] == (
             summary.daily_series
         )
+
+
+class TestTipSeededResume:
+    """Resume seeds the builder's origin tracker from the chain tip when
+    the manifest is at it; only a manifest behind the tip folds segments."""
+
+    def make_driver(self, driver, feed, alarms, cp, idx, **extra):
+        if driver == "service":
+            return StreamService(
+                feed, alarms, cp, checkpoint_every=300, index=idx, **extra
+            )
+        return FeedRouter(
+            [feed], alarms, cp, shards=2, checkpoint_every=300, index=idx,
+            **extra,
+        )
+
+    @pytest.mark.parametrize("driver", ["service", "router"])
+    @pytest.mark.parametrize("stop", [700, 2600, 4100])
+    def test_seeded_tracker_equals_segment_fold(
+        self, tmp_path, trace_feed, driver, stop
+    ):
+        alarms = tmp_path / "alarms.log"
+        cp = tmp_path / "cp.json"
+        idx = tmp_path / "idx"
+        self.make_driver(
+            driver, trace_feed, alarms, cp, idx, max_records=stop
+        ).run()
+        tip = load_chain(cp).checkpoint
+        end = tip.index_coordinates()
+        assert load_manifest(idx)["end"] == end
+        builder = IndexBuilder(idx)
+        builder.resume(
+            feeds=[trace_feed], alarms=alarms, end=end, tip=tip.engine_state
+        )
+        seeded = builder._tracker
+        builder._restore_tracker()  # the segment fold, at the same end
+        folded = builder._tracker
+        assert seeded.live_state() == folded.live_state()
+        assert seeded.moas_active == folded.moas_active
+        assert seeded.live_state()  # a non-trivial live table
+
+    @pytest.mark.parametrize("driver", ["service", "router"])
+    def test_resume_at_tip_reads_no_segment(
+        self, tmp_path, trace_feed, monkeypatch, driver
+    ):
+        import repro.query.builder as builder_module
+
+        alarms = tmp_path / "alarms.log"
+        cp = tmp_path / "cp.json"
+        idx = tmp_path / "idx"
+        self.make_driver(
+            driver, trace_feed, alarms, cp, idx, max_records=2600
+        ).run()
+        assert len(load_manifest(idx)["segments"]) > 2
+        loads = []
+        real = builder_module.load_segment
+
+        def counting(*args, **kwargs):
+            loads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(builder_module, "load_segment", counting)
+        self.make_driver(driver, trace_feed, alarms, cp, idx).run(resume=True)
+        assert loads == []
+        assert index_answers(idx) == scan_answers([trace_feed], alarms)
+
+    def test_resume_behind_tip_folds_segments(
+        self, tmp_path, trace_feed, monkeypatch
+    ):
+        """The counter above can see loads: a manifest one boundary behind
+        the chain takes the segment fold."""
+        import repro.query.builder as builder_module
+
+        alarms = tmp_path / "alarms.log"
+        cp = tmp_path / "cp.json"
+        idx = tmp_path / "idx"
+        self.make_driver(
+            "service", trace_feed, alarms, cp, idx, max_records=2600
+        ).run()
+        # A run without the index moves the chain on and leaves the
+        # manifest where it was.
+        self.make_driver(
+            "service", trace_feed, alarms, cp, None, max_records=600
+        ).run(resume=True)
+        loads = []
+        real = builder_module.load_segment
+
+        def counting(*args, **kwargs):
+            loads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(builder_module, "load_segment", counting)
+        self.make_driver("service", trace_feed, alarms, cp, idx).run(
+            resume=True
+        )
+        assert len(loads) > 2
+        assert index_answers(idx) == scan_answers([trace_feed], alarms)
 
 
 @pytest.mark.slow

@@ -28,7 +28,13 @@ from repro.stream.checkpoint import (
 from repro.net.addresses import Prefix
 from repro.stream.delta import apply_engine_delta, apply_state_delta
 from repro.stream.engine import StreamEngine
-from repro.stream.feed import OP_ANNOUNCE, FeedRecord, snapshot_deltas
+from repro.stream.feed import (
+    OP_ANNOUNCE,
+    OP_TICK,
+    OP_WITHDRAW,
+    FeedRecord,
+    snapshot_deltas,
+)
 from repro.stream.service import BoundaryCommitter
 
 TRACE_CONFIG = TraceConfig(
@@ -426,3 +432,266 @@ class TestChainWriter:
         assert (tmp_path / "unrelated.tmp").exists()
         assert load_checkpoint(path).offset == 1
         assert reap_stale_tmp(path) == []
+
+
+# -- fold-once chain replay vs the iterated one-delta fold --------------------
+
+
+def reference_engine_delta(state, delta):
+    """The per-delta fold chain replay used to iterate, kept as the
+    reference: rebuild and re-sort the whole document for every delta."""
+    def order(name):
+        return Prefix.parse(name).sort_key
+
+    def alarm_key(entry):
+        prefix, kind, observed, conflicting, origin = entry[:5]
+        return (prefix, kind, tuple(observed),
+                tuple(conflicting) if conflicting is not None else (),
+                origin if origin is not None else -1)
+
+    days = {int(day): int(count) for day, count in state["daily_counts"]}
+    for day, count in delta.get("days", []):
+        days[int(day)] = int(count)
+    tables = {}
+    for component, shipped in (("origins", "origins"),
+                               ("observed", "observed"),
+                               ("last_activity", "activity")):
+        table = {name: value for name, value in state[component]}
+        for name, value in delta.get(shipped, []):
+            if value is None:
+                table.pop(name, None)
+            else:
+                table[name] = value
+        tables[component] = [
+            [name, table[name]] for name in sorted(table, key=order)
+        ]
+    alarms = {alarm_key(entry): entry for entry in state["alarm_counts"]}
+    for entry in delta.get("alarms", []):
+        if entry[5] is None:
+            alarms.pop(alarm_key(entry), None)
+        else:
+            alarms[alarm_key(entry)] = entry
+    merged = {name: delta[name] for name in (
+        "window", "offset", "moas_active", "alarms_emitted",
+        "alarm_duplicates", "evictions")}
+    merged["daily_counts"] = [[day, days[day]] for day in sorted(days)]
+    merged.update(tables)
+    merged["alarm_counts"] = [alarms[key] for key in sorted(alarms)]
+    return merged
+
+
+def reference_state_delta(state, delta):
+    if "shards" not in state:
+        return reference_engine_delta(state, delta)
+    merged = dict(state)
+    merged["shards"] = [
+        shard if shard_delta is None
+        else reference_engine_delta(shard, shard_delta)
+        for shard, shard_delta in zip(state["shards"], delta["shards"])
+    ]
+    for key in ("feed_offsets", "epoch", "feed_ticks"):
+        if key in delta:
+            merged[key] = delta[key]
+    return merged
+
+
+PREFIX_POOL = (
+    [f"10.{a}.{b}.0/24" for a in range(3) for b in range(5)]
+    + [f"10.{a}.0.0/16" for a in range(3)]
+    + ["10.0.0.0/8", "192.0.2.0/24", "192.0.2.128/25"]
+)
+ALARM_KINDS = ("moas-conflict", "origin-not-in-list")
+
+
+def empty_engine_state():
+    return make_checkpoint(0).engine_state
+
+
+def random_engine_delta(rng, offset):
+    """A random set-to-value delta: inserts, overwrites and deletions
+    (including of absent keys) per component, and alarm entries whose
+    count may be ``None`` (an eviction's removal)."""
+    def names(limit):
+        return rng.sample(PREFIX_POOL, rng.randrange(limit))
+
+    def members():
+        return sorted(rng.sample(range(64500, 64512), rng.randrange(1, 4)))
+
+    def maybe(value):
+        return None if rng.random() < 0.3 else value
+
+    delta = {
+        "window": 30.0, "offset": offset, "moas_active": rng.randrange(9),
+        "alarms_emitted": rng.randrange(99), "alarm_duplicates": rng.randrange(9),
+        "evictions": rng.randrange(9),
+        "days": [[day, rng.randrange(5)]
+                 for day in sorted(rng.sample(range(40), rng.randrange(4)))],
+        "origins": [[name, maybe([[origin, members()] for origin in members()])]
+                    for name in names(8)],
+        "observed": [[name, maybe(sorted(members() for _ in range(2)))]
+                     for name in names(8)],
+        "activity": [[name, maybe(float(rng.randrange(40)))]
+                     for name in names(12)],
+        "alarms": [],
+    }
+    for _ in range(rng.randrange(5)):
+        prefix = rng.choice(PREFIX_POOL[:6])
+        conflicting = rng.choice([None, [64500], [64501, 64502]])
+        delta["alarms"].append([
+            prefix, rng.choice(ALARM_KINDS), [64500 + rng.randrange(3)],
+            conflicting, rng.choice([None, 64500]),
+            None if rng.random() < 0.3 else rng.randrange(1, 9),
+        ])
+    return delta
+
+
+def random_chain(rng, composite, length):
+    """A canonical base document and ``length`` deltas for it."""
+    def engine_base():
+        return reference_engine_delta(
+            empty_engine_state(), random_engine_delta(rng, 0)
+        )
+
+    if not composite:
+        base = engine_base()
+        deltas = [random_engine_delta(rng, i) for i in range(1, length + 1)]
+        return roundtrip(base), [roundtrip(d) for d in deltas]
+    base = {
+        "shard_count": 2, "window": 30.0, "epoch": 0.0, "feed_offsets": [0],
+        "shards": [engine_base(), engine_base()],
+    }
+    deltas = []
+    for i in range(1, length + 1):
+        deltas.append({
+            "epoch": float(i),
+            "feed_offsets": [i * 100],
+            "shards": [
+                None if rng.random() < 0.3 else random_engine_delta(rng, i)
+                for _ in range(2)
+            ],
+        })
+    return roundtrip(base), [roundtrip(d) for d in deltas]
+
+
+def write_chain(path, base, deltas):
+    writer = ChainWriter(path)
+    writer.write_full(Checkpoint(
+        offset=0, byte_offset=0, alarm_lines=0, engine_state=base,
+    ))
+    for seq, delta in enumerate(deltas, start=1):
+        writer.append_delta(
+            offset=seq, byte_offset=seq * 10, alarm_lines=0, alarm_bytes=0,
+            delta=delta,
+        )
+
+
+def engine_chain(window=2.0, boundaries=16, seed=3):
+    """A real engine's full snapshot and ``boundaries`` deltas; a short
+    window makes evictions (activity/evidence deletions and alarm-count
+    removals) common."""
+    records = trace_records(seed=seed)
+    # A conflict on a prefix that then dies, so eviction also removes
+    # alarm counts (the trace's own conflicts stay live).
+    day = max(record.time for record in records if record.is_tick)
+    doomed = Prefix.parse("198.51.100.0/24")
+    records += [
+        FeedRecord(op=OP_ANNOUNCE, time=day + 0.5, prefix=doomed, origin=64600),
+        FeedRecord(op=OP_ANNOUNCE, time=day + 0.5, prefix=doomed, origin=64601),
+        FeedRecord(op=OP_WITHDRAW, time=day + 0.6, prefix=doomed, origin=64600),
+        FeedRecord(op=OP_WITHDRAW, time=day + 0.6, prefix=doomed, origin=64601),
+    ] + [FeedRecord(op=OP_TICK, time=day + k) for k in range(1, 5)]
+    engine = StreamEngine(window=window)
+    cuts = {len(records) * k // (boundaries + 1) - 1
+            for k in range(1, boundaries + 2)}
+    base, deltas = None, []
+    for index, record in enumerate(records):
+        engine.apply(record)
+        if index in cuts:
+            if base is None:
+                base = roundtrip(engine.snapshot_state())
+            else:
+                deltas.append(roundtrip(engine.delta_state()))
+            engine.mark_clean()
+    return base, deltas, roundtrip(engine.snapshot_state())
+
+
+class TestFoldOnceChainReplay:
+    @pytest.mark.parametrize("composite", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_chain_equals_iterated_fold(self, tmp_path, seed, composite):
+        rng = random.Random(seed)
+        base, deltas = random_chain(rng, composite, length=rng.randrange(1, 12))
+        write_chain(tmp_path / "cp.json", base, deltas)
+        replayed = load_chain(tmp_path / "cp.json").checkpoint.engine_state
+        reference = iterated = base
+        for delta in deltas:
+            reference = reference_state_delta(reference, delta)
+            iterated = apply_state_delta(iterated, delta)
+        assert replayed == roundtrip(reference)
+        assert iterated == reference
+
+    def test_engine_chain_with_evictions_equals_iterated_fold(self, tmp_path):
+        base, deltas, tip = engine_chain()
+        assert any(d["evictions"] for d in deltas)
+        assert any(entry[5] is None for d in deltas for entry in d["alarms"])
+        assert any(value is None for d in deltas for _, value in d["origins"])
+        write_chain(tmp_path / "cp.json", base, deltas)
+        reference = base
+        for delta in deltas:
+            reference = reference_engine_delta(reference, delta)
+        replayed = load_chain(tmp_path / "cp.json").checkpoint.engine_state
+        assert replayed == roundtrip(reference) == tip
+
+    def test_sort_keys_are_computed_once_per_prefix(self, tmp_path, monkeypatch):
+        import repro.stream.delta as delta_module
+
+        base, deltas, tip = engine_chain(window=5.0, boundaries=16)
+        assert len(deltas) == 16
+        write_chain(tmp_path / "cp.json", base, deltas)
+        distinct = {
+            name
+            for component in ("origins", "observed", "last_activity")
+            for name, _ in base[component]
+        } | {
+            name
+            for delta in deltas
+            for component in ("origins", "observed", "activity")
+            for name, value in delta[component]
+            if value is not None
+        }
+        calls = []
+        real = delta_module._prefix_order
+
+        def counting(name):
+            calls.append(name)
+            return real(name)
+
+        monkeypatch.setattr(delta_module, "_prefix_order", counting)
+        assert load_chain(tmp_path / "cp.json").checkpoint.engine_state == tip
+        assert len(calls) <= len(distinct)
+
+    def test_bad_prefix_names_its_delta_line(self, tmp_path):
+        base, deltas, _ = engine_chain(boundaries=4)
+        deltas[1]["activity"].append(["not-a-prefix", 3.0])
+        write_chain(tmp_path / "cp.json", base, deltas)
+        with pytest.raises(CheckpointError, match="malformed delta line 2"):
+            load_chain(tmp_path / "cp.json")
+
+    def test_unorderable_alarm_entries_refuse(self, tmp_path):
+        base, deltas, _ = engine_chain(boundaries=2)
+        entry = ["10.0.0.0/24", "moas-conflict", [64500], None]
+        deltas[0]["alarms"] += [entry + [None, 1], entry + ["x", 1]]
+        write_chain(tmp_path / "cp.json", base, deltas)
+        with pytest.raises(CheckpointError, match="malformed delta"):
+            load_chain(tmp_path / "cp.json")
+
+    def test_reformatted_snapshot_still_chains(self, tmp_path):
+        """A snapshot re-written in another JSON form keeps its digest: the
+        deltas chain from the canonical serialisation, not the file bytes."""
+        base, deltas, tip = engine_chain(boundaries=4)
+        path = tmp_path / "cp.json"
+        write_chain(path, base, deltas)
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=2))
+        chain = load_chain(path)
+        assert chain.checkpoint.engine_state == tip
+        assert chain.base_digest == chain.full.digest()
