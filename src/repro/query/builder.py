@@ -44,8 +44,8 @@ from repro.query.segments import (
     load_segment,
     manifest_doc,
     manifest_entry,
+    read_segment,
     reap_unreferenced,
-    verify_segment,
     write_manifest,
     write_segment,
 )
@@ -160,8 +160,9 @@ class IndexBuilder:
         mismatch.
 
         A manifest that ends exactly at ``end`` (every graceful stop) seeds
-        the origin tracker from ``tip``'s live origin sets, so resume costs
-        O(live state) however many segments exist.  Only a manifest behind
+        the origin tracker from ``tip``'s live origin sets and decodes no
+        segment: resume costs O(live state) plus one ``sha256`` over the
+        index bytes.  Only a manifest behind
         the tip (a crash between the chain write and the manifest publish)
         folds the manifested segments back into the tracker and replays the
         feed/alarm byte gap, published at once as one catch-up segment so
@@ -185,7 +186,7 @@ class IndexBuilder:
             self._last_end = dict(manifest["end"])
             if self._last_end == dict(end):
                 for entry in self._entries:
-                    verify_segment(
+                    read_segment(
                         self.index_dir / str(entry["name"]),
                         str(entry["digest"]),
                     )

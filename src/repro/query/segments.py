@@ -206,10 +206,9 @@ def load_segment(
 ) -> Dict[str, Any]:
     """Load and validate one segment file (optionally digest-checked)."""
     target = Path(path)
+    raw = read_segment(target, expect_digest)
     try:
-        doc = json.loads(target.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise QueryError(f"missing index segment {target}") from exc
+        doc = json.loads(raw.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise QueryError(f"corrupt index segment {target}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != SEGMENT_FORMAT:
@@ -218,33 +217,32 @@ def load_segment(
         raise QueryError(
             f"unsupported segment version {doc.get('version')!r} in {target}"
         )
-    if expect_digest is not None and segment_digest(doc) != expect_digest:
-        raise QueryError(
-            f"segment {target} digest mismatch: manifest expects "
-            f"{expect_digest}, file hashes to {segment_digest(doc)}"
-        )
     return doc
 
 
-def verify_segment(path: Union[str, Path], expect_digest: str) -> None:
-    """Check one segment file against its manifest digest, bytes only.
+def read_segment(
+    path: Union[str, Path], expect_digest: Optional[str] = None
+) -> bytes:
+    """Read one segment file's bytes, checked against its manifest digest.
 
     :func:`write_segment` writes exactly ``canonical_json(doc) + "\\n"``,
-    so hashing the file's bytes gives :func:`segment_digest` of the
-    document it holds without decoding it; any other bytes (a missing
-    newline, an edit, a truncation) fail the check.
+    so the hash of the file's bytes is :func:`segment_digest` of the
+    document it holds, and the check needs no decoding; any other bytes
+    (a re-encoding, a missing newline, an edit, a truncation) fail it.
     """
     target = Path(path)
     try:
         raw = target.read_bytes()
     except FileNotFoundError as exc:
         raise QueryError(f"missing index segment {target}") from exc
-    found = hashlib.sha256(raw[:-1]).hexdigest()[:16]
-    if not raw.endswith(b"\n") or found != expect_digest:
-        raise QueryError(
-            f"segment {target} digest mismatch: manifest expects "
-            f"{expect_digest}, file hashes to {found}"
-        )
+    if expect_digest is not None:
+        found = hashlib.sha256(raw[:-1]).hexdigest()[:16]
+        if not raw.endswith(b"\n") or found != expect_digest:
+            raise QueryError(
+                f"segment {target} digest mismatch: manifest expects "
+                f"{expect_digest}, file hashes to {found}"
+            )
+    return raw
 
 
 def load_manifest(directory: Union[str, Path]) -> Optional[Dict[str, Any]]:

@@ -330,15 +330,8 @@ def load_chain(path: Union[str, Path]) -> LoadedChain:
     target = Path(path)
     if not target.exists():
         raise CheckpointError(f"no checkpoint at {target}")
-    snapshot = target.read_bytes()
-    full = Checkpoint.from_json(snapshot.decode("utf-8"))
-    # write_full writes exactly ``to_json() + "\n"``.  When the first delta
-    # names the hash of those bytes as its base, the file holds the
-    # canonical form and that hash is ``full.digest()``, so the snapshot
-    # need not be re-serialised; any other base is checked against
-    # ``full.digest()`` itself.
-    file_digest = hashlib.sha256(snapshot[:-1]).hexdigest()[:16]
-    base_digest: Optional[str] = None
+    full = Checkpoint.from_json(target.read_text(encoding="utf-8"))
+    base_digest = full.digest()
 
     delta_file = delta_path_for(target)
     # Every delta folds into one unpacked copy of the snapshot, which is
@@ -377,12 +370,6 @@ def load_chain(path: Union[str, Path]) -> LoadedChain:
                     f"unsupported delta version {record.get('version')!r} "
                     f"in {delta_file}"
                 )
-            if base_digest is None:
-                base_digest = (
-                    file_digest
-                    if record.get("base") == file_digest
-                    else full.digest()
-                )
             if record.get("base") != base_digest:
                 raise CheckpointError(
                     f"delta line {seq + 1} in {delta_file} chains from base "
@@ -416,8 +403,6 @@ def load_chain(path: Union[str, Path]) -> LoadedChain:
             alarm_bytes = new_alarm_bytes
             seq += 1
             valid_bytes = consumed
-    if base_digest is None:
-        base_digest = full.digest()
     state = full.engine_state
     if fold is not None:
         try:

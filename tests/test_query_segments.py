@@ -15,6 +15,7 @@ from repro.query.segments import (
     manifest_doc,
     manifest_entry,
     manifest_etag,
+    read_segment,
     reap_unreferenced,
     segment_digest,
     segment_name,
@@ -114,6 +115,20 @@ class TestDurableWrites:
         write_segment(tmp_path, doc)
         with pytest.raises(QueryError, match="digest mismatch"):
             load_segment(tmp_path / segment_name(1), "0" * 16)
+
+    def test_re_encoded_segment_refuses(self, tmp_path):
+        """The digest covers the bytes the writer wrote: a segment whose JSON
+        was re-encoded after the fact is refused even though it decodes to
+        the same document, and the at-tip resume check agrees."""
+        doc = assemble_segment(1, START, END, EVENTS, ROWS)
+        write_segment(tmp_path, doc)
+        target = tmp_path / segment_name(1)
+        target.write_text(json.dumps(doc, indent=2) + "\n")
+        with pytest.raises(QueryError, match="digest mismatch"):
+            load_segment(target, segment_digest(doc))
+        with pytest.raises(QueryError, match="digest mismatch"):
+            read_segment(target, segment_digest(doc))
+        assert load_segment(target) == doc
 
     def test_corrupt_segment_refuses(self, tmp_path):
         target = tmp_path / segment_name(1)
