@@ -56,26 +56,34 @@ from repro.query.track import (
     QueryError,
     alarm_row_from_line,
     alarm_rows_from_range,
-    replay_feed_range,
-    replay_router_range,
+    replay_range,
 )
 from repro.stream.checkpoint import FaultHook
-from repro.stream.feed import FeedRecord
+from repro.stream.feed import FeedFleet, FeedRecord
 
 #: Index modes: one tailer feed vs the sharded router's N vantage feeds.
 MODE_SINGLE = "single"
 MODE_ROUTER = "router"
 
 
-def zero_coordinates(mode: str, feed_count: int = 1) -> Dict[str, Any]:
-    """The boundary coordinates of an empty history."""
+def coordinates(
+    mode: str, records: int, alarm_bytes: int, offsets: Sequence[int]
+) -> Dict[str, Any]:
+    """Boundary coordinates; only the feed key differs per mode."""
     if mode == MODE_ROUTER:
         return {
-            "records": 0,
-            "alarm_bytes": 0,
-            "feed_offsets": [0] * feed_count,
+            "records": records,
+            "alarm_bytes": alarm_bytes,
+            "feed_offsets": list(offsets),
         }
-    return {"records": 0, "alarm_bytes": 0, "feed_bytes": 0}
+    return {"records": records, "alarm_bytes": alarm_bytes, "feed_bytes": offsets[0]}
+
+
+def feed_offsets(coords: Dict[str, Any]) -> List[int]:
+    """The per-feed byte offsets of either mode's coordinates."""
+    if "feed_offsets" in coords:
+        return [int(offset) for offset in coords["feed_offsets"]]
+    return [int(coords["feed_bytes"])]
 
 
 @dataclass
@@ -104,7 +112,7 @@ class IndexBuilder:
         self._entries: List[Dict[str, Any]] = []
         self._generation = 0
         self._mode = MODE_SINGLE
-        self._last_end: Dict[str, Any] = zero_coordinates(MODE_SINGLE)
+        self._last_end: Dict[str, Any] = coordinates(MODE_SINGLE, 0, 0, [0])
         self.segments_written = 0
         self.manifests_written = 0
         self.catchup_records = 0
@@ -139,7 +147,7 @@ class IndexBuilder:
         self._alarm_rows = []
         self._entries = []
         self._generation = 0
-        self._last_end = zero_coordinates(mode, feed_count)
+        self._last_end = coordinates(mode, 0, 0, [0] * feed_count)
 
     def resume(
         self,
@@ -211,17 +219,11 @@ class IndexBuilder:
             return False
         if int(manifest_end["alarm_bytes"]) > int(end["alarm_bytes"]):
             return False
-        if mode == MODE_ROUTER:
-            offsets = manifest_end.get("feed_offsets")
-            targets = end["feed_offsets"]
-            if not isinstance(offsets, list) or len(offsets) != len(targets):
-                return False
-            if any(int(o) > int(t) for o, t in zip(offsets, targets)):
-                return False
-        else:
-            if int(manifest_end.get("feed_bytes", 0)) > int(end["feed_bytes"]):
-                return False
-        return True
+        offsets = feed_offsets(manifest_end)
+        targets = feed_offsets(end)
+        if len(offsets) != len(targets):
+            return False
+        return all(offset <= target for offset, target in zip(offsets, targets))
 
     def _restore_tracker(self) -> None:
         """Rebuild live origin sets by folding the manifested segments."""
@@ -249,22 +251,13 @@ class IndexBuilder:
         expected = int(end["records"]) - int(start["records"])
         if expected == 0:
             return 0
-        if self._mode == MODE_ROUTER:
-            records = replay_router_range(
-                feeds,
-                [int(offset) for offset in start["feed_offsets"]],
-                [int(offset) for offset in end["feed_offsets"]],
-                self._tracker,
-                self._events,
-            )
-        else:
-            records = replay_feed_range(
-                Path(feeds[0]),
-                int(start["feed_bytes"]),
-                int(end["feed_bytes"]),
-                self._tracker,
-                self._events,
-            )
+        records = replay_range(
+            feeds,
+            feed_offsets(start),
+            feed_offsets(end),
+            self._tracker,
+            self._events,
+        )
         if records != expected:
             raise QueryError(
                 f"index catch-up replayed {records} records but coordinates "
@@ -365,65 +358,25 @@ def build_index(
     records = 0
     days_seen = 0
 
-    def cut(end: Dict[str, Any]) -> None:
+    def cut(records: int, offsets: List[int]) -> None:
+        end = coordinates(mode, records, alarm_cursor.position, offsets)
         job = builder.prepare_boundary(end, [])
         if job is not None:
             builder.commit(job)
 
-    if mode == MODE_SINGLE:
-        walker = _FeedWalker(feed_paths[0], builder)
-        while True:
-            day = walker.advance_one_day()
-            if day is None:
-                break
-            records = walker.records
-            days_seen += 1
-            if days_seen % segment_days == 0:
-                builder._alarm_rows.extend(alarm_cursor.take_through(day))
-                cut(
-                    {
-                        "records": walker.records,
-                        "alarm_bytes": alarm_cursor.position,
-                        "feed_bytes": walker.position,
-                    }
-                )
+    with FeedFleet(feed_paths) as fleet:
+        for record in fleet.records():
+            records += 1
+            builder.observe(record)
+            if record.is_tick:
+                days_seen += 1
+                if days_seen % segment_days == 0:
+                    builder._alarm_rows.extend(
+                        alarm_cursor.take_through(record.time)
+                    )
+                    cut(records, fleet.offsets)
         builder._alarm_rows.extend(alarm_cursor.take_through(None))
-        cut(
-            {
-                "records": walker.records,
-                "alarm_bytes": alarm_cursor.position,
-                "feed_bytes": walker.position,
-            }
-        )
-        records = walker.records
-        walker.close()
-    else:
-        fleet = _FleetWalker(feed_paths, builder)
-        while True:
-            day = fleet.advance_one_day()
-            if day is None:
-                break
-            records = fleet.records
-            days_seen += 1
-            if days_seen % segment_days == 0:
-                builder._alarm_rows.extend(alarm_cursor.take_through(day))
-                cut(
-                    {
-                        "records": fleet.records,
-                        "alarm_bytes": alarm_cursor.position,
-                        "feed_offsets": fleet.offsets(),
-                    }
-                )
-        builder._alarm_rows.extend(alarm_cursor.take_through(None))
-        cut(
-            {
-                "records": fleet.records,
-                "alarm_bytes": alarm_cursor.position,
-                "feed_offsets": fleet.offsets(),
-            }
-        )
-        records = fleet.records
-        fleet.close()
+        cut(records, fleet.offsets)
     alarm_cursor.close()
     return {
         "records": records,
@@ -469,98 +422,3 @@ class _AlarmCursor:
     def close(self) -> None:
         if self._handle is not None and not self._handle.closed:
             self._handle.close()
-
-
-class _FeedWalker:
-    """Single-feed cursor: apply records through the builder, day by day."""
-
-    def __init__(self, path: Path, builder: IndexBuilder) -> None:
-        self._path = path
-        self._handle = path.open("rb")
-        self._builder = builder
-        self.position = 0
-        self.records = 0
-
-    def advance_one_day(self) -> Optional[float]:
-        """Consume through the next tick; returns its day (None at EOF)."""
-        from repro.stream.feed import parse_feed_line
-
-        while True:
-            line = self._handle.readline()
-            if not line or not line.endswith(b"\n"):
-                return None
-            self.position += len(line)
-            record = parse_feed_line(line.decode("utf-8"))
-            if record is None:
-                continue
-            self.records += 1
-            self._builder.observe(record)
-            if record.is_tick:
-                return record.time
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
-
-
-class _FleetWalker:
-    """Multi-feed cursor mirroring the router's day-barrier interleave."""
-
-    def __init__(self, paths: Sequence[Path], builder: IndexBuilder) -> None:
-        from repro.query.track import _ReplayFeed
-
-        self._feeds = [_ReplayFeed(path, 0, None) for path in paths]
-        self._builder = builder
-        self.records = 0
-
-    def offsets(self) -> List[int]:
-        return [feed.position for feed in self._feeds]
-
-    def advance_one_day(self) -> Optional[float]:
-        from repro.stream.feed import OP_TICK, parse_feed_line
-
-        while True:
-            live = [feed for feed in self._feeds if not feed.done]
-            if not live:
-                return None
-            for feed in live:
-                if feed.pending_tick is not None:
-                    continue
-                while True:
-                    line = feed.handle.readline()
-                    if not line or not line.endswith(b"\n"):
-                        feed.done = True
-                        break
-                    feed.position += len(line)
-                    record = parse_feed_line(line.decode("utf-8"))
-                    if record is None:
-                        continue
-                    if record.is_tick:
-                        feed.pending_tick = record.time
-                        break
-                    self.records += 1
-                    self._builder.observe(record)
-            ticking = [
-                feed
-                for feed in self._feeds
-                if not feed.done and feed.pending_tick is not None
-            ]
-            if not ticking:
-                continue
-            days = sorted({feed.pending_tick for feed in ticking})
-            if len(days) != 1:
-                raise QueryError(
-                    f"vantage feeds disagree on the current day: {days}"
-                )
-            day = days[0]
-            assert day is not None
-            self.records += 1
-            self._builder.observe(FeedRecord(op=OP_TICK, time=day))
-            for feed in ticking:
-                feed.pending_tick = None
-            return day
-
-    def close(self) -> None:
-        for feed in self._feeds:
-            if not feed.handle.closed:
-                feed.handle.close()

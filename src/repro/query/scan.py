@@ -20,8 +20,7 @@ from repro.query.track import (
     IndexEvent,
     OriginTracker,
     alarm_rows_from_range,
-    replay_feed_range,
-    replay_router_range,
+    replay_range,
 )
 
 
@@ -37,12 +36,7 @@ def scan_state(
     """
     tracker = OriginTracker()
     events: List[IndexEvent] = []
-    if len(feeds) == 1:
-        records = replay_feed_range(Path(feeds[0]), 0, None, tracker, events)
-    else:
-        records = replay_router_range(
-            feeds, [0] * len(feeds), None, tracker, events
-        )
+    records = replay_range(feeds, [0] * len(feeds), None, tracker, events)
     alarms_path = Path(alarms)
     rows = (
         alarm_rows_from_range(alarms_path, 0, None)

@@ -29,7 +29,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from repro.stream.feed import OP_ANNOUNCE, OP_TICK, OP_WITHDRAW, FeedError, FeedRecord, parse_feed_line
+from repro.stream.feed import OP_ANNOUNCE, OP_TICK, OP_WITHDRAW, FeedError, FeedFleet, FeedRecord
 
 #: One JSON-safe index event (see the module docstring for the shapes).
 IndexEvent = List[Any]
@@ -184,155 +184,33 @@ def alarm_rows_from_range(
 # -- feed replay --------------------------------------------------------------
 
 
-def replay_feed_range(
-    path: Union[str, Path],
-    start: int,
-    end: Optional[int],
-    tracker: OriginTracker,
-    out: List[IndexEvent],
-) -> int:
-    """Replay single-feed bytes ``[start, end)`` through ``tracker``.
-
-    Returns the number of records applied (headers excluded), matching the
-    service's record accounting exactly.
-    """
-    target = Path(path)
-    records = 0
-    with target.open("rb") as handle:
-        handle.seek(start)
-        position = start
-        while end is None or position < end:
-            line = handle.readline()
-            if not line or not line.endswith(b"\n"):
-                if end is not None:
-                    raise QueryError(
-                        f"feed {target} ends at byte {position}, expected {end}"
-                    )
-                break
-            position += len(line)
-            if end is not None and position > end:
-                raise QueryError(
-                    f"feed range [{start}, {end}) of {target} does not end "
-                    f"on a line boundary"
-                )
-            try:
-                record = parse_feed_line(line.decode("utf-8"))
-            except FeedError as exc:
-                raise QueryError(f"{target} at byte {position}: {exc}") from exc
-            if record is None:
-                continue
-            records += 1
-            event = tracker.apply(record)
-            if event is not None:
-                out.append(event)
-    return records
-
-
-class _ReplayFeed:
-    """Cursor over one vantage-point feed during interleaved replay."""
-
-    __slots__ = ("path", "handle", "position", "end", "pending_tick", "done")
-
-    def __init__(self, path: Path, start: int, end: Optional[int]) -> None:
-        self.path = path
-        self.handle = path.open("rb")
-        self.handle.seek(start)
-        self.position = start
-        self.end = end
-        self.pending_tick: Optional[float] = None
-        self.done = False
-
-
-def replay_router_range(
+def replay_range(
     paths: Sequence[Union[str, Path]],
     starts: Sequence[int],
     ends: Optional[Sequence[int]],
     tracker: OriginTracker,
     out: List[IndexEvent],
 ) -> int:
-    """Replay N vantage feeds the way :class:`~repro.stream.router.FeedRouter`
-    consumes them: each feed up to its next tick (in feed order), then one
-    fleet-wide tick when the live feeds agree on the day.
+    """Replay feed bytes ``[starts[i], ends[i])`` through ``tracker``.
 
-    Per-prefix event order matches the sharded run because a prefix lives
-    in exactly one shard and a shard applies its lines in parent read
-    order — which is this order.  Returns records applied (routed lines
-    plus one per fleet tick), matching the router's accounting.
+    ``ends=None`` replays every feed to EOF.  The walk is
+    :class:`~repro.stream.feed.FeedFleet`'s: one feed replays the
+    single-engine service's order, several the router's day-barrier
+    interleave.  Per-prefix event order matches a sharded run because a
+    prefix lives in exactly one shard and a shard applies its lines in the
+    parent's read order — which is this order.  Returns the records applied
+    (record lines plus one per fleet tick, headers and blank lines
+    excluded), matching both drivers' accounting.  A feed the walk refuses
+    raises :class:`QueryError`.
     """
-    if len(paths) != len(starts) or (ends is not None and len(ends) != len(paths)):
-        raise QueryError(
-            f"feed/offset count mismatch: {len(paths)} feeds, "
-            f"{len(starts)} starts"
-        )
-    feeds = [
-        _ReplayFeed(Path(path), int(start), None if ends is None else int(ends[i]))
-        for i, (path, start) in enumerate(zip(paths, starts))
-    ]
     records = 0
     try:
-        while True:
-            live = [feed for feed in feeds if not feed.done]
-            if not live:
-                break
-            for feed in live:
-                if feed.pending_tick is not None:
-                    continue
-                while True:
-                    if feed.end is not None and feed.position >= feed.end:
-                        if feed.position > feed.end:
-                            raise QueryError(
-                                f"feed {feed.path} overran target offset "
-                                f"{feed.end} (at {feed.position})"
-                            )
-                        feed.done = True
-                        break
-                    line = feed.handle.readline()
-                    if not line or not line.endswith(b"\n"):
-                        if feed.end is not None:
-                            raise QueryError(
-                                f"feed {feed.path} ends at byte "
-                                f"{feed.position}, expected {feed.end}"
-                            )
-                        feed.done = True
-                        break
-                    feed.position += len(line)
-                    try:
-                        record = parse_feed_line(line.decode("utf-8"))
-                    except FeedError as exc:
-                        raise QueryError(
-                            f"{feed.path} at byte {feed.position}: {exc}"
-                        ) from exc
-                    if record is None:
-                        continue
-                    if record.is_tick:
-                        feed.pending_tick = record.time
-                        break
-                    records += 1
-                    event = tracker.apply(record)
-                    if event is not None:
-                        out.append(event)
-            ticking = [
-                feed
-                for feed in feeds
-                if not feed.done and feed.pending_tick is not None
-            ]
-            if not ticking:
-                continue
-            days = sorted({feed.pending_tick for feed in ticking})
-            if len(days) != 1:
-                raise QueryError(
-                    f"vantage feeds disagree on the current day: {days}"
-                )
-            day = days[0]
-            assert day is not None
-            records += 1  # the fleet-wide tick, as the router counts it
-            event = tracker.apply(FeedRecord(op=OP_TICK, time=day))
-            if event is not None:
-                out.append(event)
-            for feed in ticking:
-                feed.pending_tick = None
-    finally:
-        for feed in feeds:
-            if not feed.handle.closed:
-                feed.handle.close()
+        with FeedFleet(paths, starts, ends) as fleet:
+            for record in fleet.records():
+                records += 1
+                event = tracker.apply(record)
+                if event is not None:
+                    out.append(event)
+    except FeedError as exc:
+        raise QueryError(str(exc)) from exc
     return records

@@ -41,6 +41,7 @@ Two producers are provided:
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -256,6 +257,211 @@ def read_feed(path: Union[str, Path]) -> List[FeedRecord]:
             if record is not None:
                 records.append(record)
     return records
+
+
+# -- the feed walk: one cursor per vantage feed, one day-barrier interleave --
+
+#: Raw-byte markers in the canonical feed serialisation (sorted keys,
+#: compact separators — see FeedRecord.to_json_line).
+PREFIX_MARK = b'"p":"'
+
+#: Lines a cursor reads at most per call, so a feed with few ticks still
+#: streams in bounded memory.
+_BATCH = 4096
+_UNBOUNDED = sys.maxsize
+
+
+def parse_record_line(line: bytes) -> FeedRecord:
+    """Parse a line :class:`FeedCursor` handed over unparsed (it carries
+    :data:`PREFIX_MARK`): it must be an announce or a withdraw."""
+    record = parse_feed_line(line.decode("utf-8"))
+    if record is None:
+        raise FeedError(f"not an announce or withdraw: {line[:80]!r}")
+    return record
+
+
+class FeedCursor:
+    """One vantage feed read as raw bytes, with an exact byte offset.
+
+    Reads ``[start, end)``, or to EOF when ``end`` is ``None``; a partial
+    last line ends the feed (its writer may still be appending it).  With
+    an ``end``, a line running past it and a file stopping short of it are
+    both refused: checkpoint and manifest coordinates must fall on line
+    boundaries of this very file.
+
+    Every line follows one rule.  A line carrying the canonical prefix
+    marker is a record line, handed over unparsed (whoever parses it
+    refuses one that is not an announce or withdraw).  Every other line
+    goes through :func:`parse_feed_line`: blank lines are skipped, headers
+    are checked (an unsupported format or version is refused) and skipped,
+    a tick ends the read, and a record without the canonical prefix marker
+    is refused as unroutable.
+    """
+
+    __slots__ = ("path", "position", "end", "done", "_handle")
+
+    def __init__(
+        self, path: Union[str, Path], start: int = 0, end: Optional[int] = None
+    ) -> None:
+        self.path = Path(path)
+        self._handle: IO[bytes] = self.path.open("rb")
+        self.end = end
+        self.done = False
+        self.seek(start)
+
+    def seek(self, offset: int) -> None:
+        self._handle.seek(offset)
+        self.position = offset
+
+    def read(self) -> Tuple[List[bytes], Optional[float]]:
+        """Record lines up to the next tick, and that tick's day.
+
+        The day is ``None`` when the read stopped first: after ``_BATCH``
+        lines, or at the feed's end (then :attr:`done` is set).
+        """
+        lines: List[bytes] = []
+        append = lines.append
+        readline = self._handle.readline
+        end = _UNBOUNDED if self.end is None else self.end
+        position = self.position
+        try:
+            for _ in range(_BATCH):
+                if position >= end:
+                    self.done = True
+                    break
+                line = readline()
+                if not line.endswith(b"\n"):
+                    if self.end is not None:
+                        raise FeedError(
+                            f"feed {self.path} ends at byte {position}, "
+                            f"expected {end}"
+                        )
+                    self.done = True
+                    break
+                position += len(line)
+                if position > end:
+                    raise FeedError(
+                        f"feed {self.path} overran its end offset {end} "
+                        f"(at {position})"
+                    )
+                if PREFIX_MARK in line:
+                    append(line)
+                    continue
+                try:
+                    record = parse_feed_line(line.decode("utf-8"))
+                except ValueError as exc:
+                    raise FeedError(f"{self.path} at byte {position}: {exc}") from exc
+                if record is None:
+                    continue  # a blank line or a valid header
+                if not record.is_tick:
+                    raise FeedError(
+                        f"{self.path} at byte {position}: "
+                        f"unroutable feed line {line[:80]!r}"
+                    )
+                return lines, record.time
+            return lines, None
+        finally:
+            self.position = position
+
+    def close(self) -> None:
+        self._handle.close()
+
+
+class FeedFleet:
+    """N vantage feeds merged at day barriers — the one interleave rule.
+
+    Iterating yields, in fleet order, lists of raw announce/withdraw lines
+    and, once per day, that day as a ``float``:
+
+    * each live feed is read up to its next tick, in feed order;
+    * the feeds that ticked must agree on the day (else
+      :class:`FeedError`), and one tick then closes it fleet-wide;
+    * a feed that ends mid-day adds its lines but no tick.
+
+    One feed is the N=1 case: its lines, then its tick — the single-engine
+    service's record order and count, mid-day ``end`` included.
+    """
+
+    def __init__(
+        self,
+        paths: Sequence[Union[str, Path]],
+        starts: Optional[Sequence[int]] = None,
+        ends: Optional[Sequence[int]] = None,
+    ) -> None:
+        count = len(paths)
+        for offsets in (starts, ends):
+            if offsets is not None and len(offsets) != count:
+                raise FeedError(
+                    f"feed/offset count mismatch: {count} feeds, "
+                    f"{len(offsets)} offsets"
+                )
+        self.cursors: List[FeedCursor] = []
+        try:
+            for index, path in enumerate(paths):
+                self.cursors.append(
+                    FeedCursor(
+                        path,
+                        0 if starts is None else int(starts[index]),
+                        None if ends is None else int(ends[index]),
+                    )
+                )
+        except BaseException:
+            self.close()
+            raise
+        #: The cursor being read: the source of the last yielded lines.
+        self.current: Optional[FeedCursor] = None
+
+    @property
+    def offsets(self) -> List[int]:
+        return [cursor.position for cursor in self.cursors]
+
+    def __iter__(self) -> Iterator[Union[List[bytes], float]]:
+        live = list(self.cursors)
+        while live:
+            days = set()
+            for cursor in live:
+                self.current = cursor
+                while True:
+                    lines, day = cursor.read()
+                    if lines:
+                        yield lines
+                    if day is not None:
+                        days.add(day)
+                        break
+                    if cursor.done:
+                        break
+            live = [cursor for cursor in live if not cursor.done]
+            if days:
+                if len(days) != 1:
+                    raise FeedError(
+                        f"vantage feeds disagree on the current day: "
+                        f"{sorted(days)}"
+                    )
+                yield days.pop()
+
+    def records(self) -> Iterator[FeedRecord]:
+        """The same walk, parsed: one record per line, one tick per day."""
+        for item in self:
+            if isinstance(item, float):
+                yield FeedRecord(op=OP_TICK, time=item)
+                continue
+            assert self.current is not None
+            for line in item:
+                try:
+                    record = parse_record_line(line)
+                except ValueError as exc:
+                    raise FeedError(f"{self.current.path}: {exc}") from exc
+                yield record
+
+    def close(self) -> None:
+        for cursor in self.cursors:
+            cursor.close()
+
+    def __enter__(self) -> "FeedFleet":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 # -- producer 1: snapshot diffing ------------------------------------------

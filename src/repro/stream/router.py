@@ -12,10 +12,12 @@ shards never produce duplicate alarms across the fleet, and the
 MOAS-active count for a day is simply the sum of the shard counts.
 
 **Day-boundary synchronisation.**  Each feed carries one tick per day.  The
-router reads every feed up to its day-``D`` tick, flushes the routed lines,
-then broadcasts exactly one ``tick(D)`` barrier to every shard — satisfying
-the engine's one-tick-per-day invariant and giving eviction the same global
-day clock a single engine would see.  The barrier reply carries each
+router walks its feeds with :class:`~repro.stream.feed.FeedFleet` (every
+feed up to its day-``D`` tick: the interleave the index replay and the
+scan oracle share), flushes the routed lines, then broadcasts exactly one
+``tick(D)`` barrier to every shard — satisfying the engine's
+one-tick-per-day invariant and giving eviction the same global day clock
+a single engine would see.  The barrier reply carries each
 shard's alarm lines since the previous barrier; the parent concatenates
 them in shard-index order, so the merged log's line order is a pure
 function of the feed contents — ``(day, shard, emission order)`` — no
@@ -44,12 +46,10 @@ dies ends the run with a :class:`~repro.procpool.WorkerError` naming it.
 
 from __future__ import annotations
 
-import json
 import zlib
 from functools import partial
 from pathlib import Path
 from typing import (
-    IO,
     Any,
     Callable,
     Dict,
@@ -68,7 +68,13 @@ from repro.stream.checkpoint import (
     FaultHook,
 )
 from repro.stream.engine import StreamEngine
-from repro.stream.feed import OP_TICK, FeedError, FeedRecord, parse_feed_line
+from repro.stream.feed import (
+    OP_TICK,
+    PREFIX_MARK,
+    FeedFleet,
+    FeedRecord,
+    parse_record_line,
+)
 from repro.stream.service import (
     BoundaryCommitter,
     StreamSummary,
@@ -77,12 +83,6 @@ from repro.stream.service import (
     _StreamDriver,
     capture_state,
 )
-
-#: Raw-byte markers in the canonical feed serialisation (sorted keys,
-#: compact separators — see FeedRecord.to_json_line).
-_PREFIX_MARK = b'"p":"'
-_TICK_MARK = b'"op":"T"'
-_HEADER_MARK = b'"format"'
 
 
 class RouterError(ValueError):
@@ -98,10 +98,10 @@ def shard_for_prefix(prefix_bytes: bytes, shards: int) -> int:
 def route_line(line: bytes, shards: int) -> Optional[int]:
     """Classify one raw feed line: a shard index for announce/withdraw,
     ``None`` for ticks and headers (handled by the parent)."""
-    start = line.find(_PREFIX_MARK)
+    start = line.find(PREFIX_MARK)
     if start < 0:
         return None
-    start += len(_PREFIX_MARK)
+    start += len(PREFIX_MARK)
     end = line.index(b'"', start)
     return shard_for_prefix(line[start:end], shards)
 
@@ -157,9 +157,7 @@ def _shard_worker(
         tag = message[0]
         if tag == "lines":
             for raw in message[1]:
-                record = parse_feed_line(raw.decode("utf-8"))
-                if record is not None:
-                    apply(record)
+                apply(parse_record_line(raw))
         elif tag == "barrier":
             day, kind = message[1], message[2]
             if day is not None:
@@ -178,32 +176,6 @@ def _shard_worker(
             conn.send(("ok", None))
         elif message == STOP:
             return
-
-
-class _RoutedFeed:
-    """One vantage-point feed: raw binary reader with exact byte offsets."""
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self.handle: IO[bytes] = self.path.open("rb")
-        self.byte_offset = 0
-        self.pending_tick: Optional[float] = None
-        self.done = False
-
-    def seek(self, byte_offset: int) -> None:
-        self.handle.seek(byte_offset)
-        self.byte_offset = byte_offset
-
-    def close(self) -> None:
-        if not self.handle.closed:
-            self.handle.close()
-
-
-def _tick_day(line: bytes, path: Path) -> float:
-    try:
-        return float(json.loads(line.decode("utf-8"))["t"])
-    except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
-        raise FeedError(f"{path}: malformed tick line {line!r}: {exc}") from exc
 
 
 class FeedRouter(_StreamDriver):
@@ -302,13 +274,13 @@ class FeedRouter(_StreamDriver):
 
     def _commit(
         self,
-        feeds: List[_RoutedFeed],
+        fleet: FeedFleet,
         kind: Optional[str],
         payloads: List[Optional[Dict[str, Any]]],
     ) -> None:
         """Hand one boundary to the committer: the merged alarm lines and,
         with ``kind``, the composite chain document of the shard payloads."""
-        offsets = [feed.byte_offset for feed in feeds]
+        offsets = fleet.offsets
         state: Optional[Dict[str, Any]] = None
         if kind is not None:
             state = {"epoch": self._epoch, "feed_offsets": offsets, "shards": payloads}
@@ -321,7 +293,7 @@ class FeedRouter(_StreamDriver):
 
     def _restore(
         self,
-        feeds: List[_RoutedFeed],
+        fleet: FeedFleet,
         pool: WorkerPool,
         checkpoint: Checkpoint,
     ) -> None:
@@ -332,51 +304,25 @@ class FeedRouter(_StreamDriver):
                 f"cannot resume with {self.shards}"
             )
         offsets = state["feed_offsets"]
-        if len(offsets) != len(feeds):
+        if len(offsets) != len(fleet.cursors):
             raise CheckpointError(
                 f"checkpoint recorded {len(offsets)} feeds, "
-                f"got {len(feeds)}"
+                f"got {len(fleet.cursors)}"
             )
         pool.gather(
             [("restore", shard_state) for shard_state in state["shards"]], "ok"
         )
-        for feed, offset in zip(feeds, offsets):
-            feed.seek(int(offset))
+        for cursor, offset in zip(fleet.cursors, offsets):
+            cursor.seek(int(offset))
         self._epoch = state["epoch"]
         self._records_total = checkpoint.offset
 
     # -- the run loop ----------------------------------------------------------
 
-    def _read_to_tick(
-        self, feed: _RoutedFeed, buffers: List[List[bytes]]
-    ) -> int:
-        """Consume one feed up to (and including) its next tick line,
-        routing announce/withdraw lines into shard buffers.  Returns the
-        number of records routed."""
-        routed = 0
-        while True:
-            line = feed.handle.readline()
-            if not line or not line.endswith(b"\n"):
-                feed.done = True
-                return routed
-            feed.byte_offset += len(line)
-            if _HEADER_MARK in line:
-                continue
-            if _TICK_MARK in line:
-                feed.pending_tick = _tick_day(line, feed.path)
-                return routed
-            target = route_line(line, self.shards)
-            if target is None:
-                raise FeedError(
-                    f"{feed.path}: unroutable feed line {line[:80]!r}"
-                )
-            buffers[target].append(line)
-            routed += 1
-
     def run(self, resume: bool = False) -> StreamSummary:
         started = self._clock()
         committer = self._committer
-        feeds = [_RoutedFeed(path) for path in self.feed_paths]
+        fleet = FeedFleet(self.feed_paths)
         pool = WorkerPool(
             _shard_worker,
             self.shards,
@@ -384,12 +330,14 @@ class FeedRouter(_StreamDriver):
             name="stream-shard",
         )
         buffers: List[List[bytes]] = [[] for _ in range(self.shards)]
+        shards = self.shards
         stopped_early = False
         reached_eof = False
         try:
             committer.open(
-                partial(self._restore, feeds, pool) if resume else None
+                partial(self._restore, fleet, pool) if resume else None
             )
+            walk = iter(fleet)
             applied = 0
             since_checkpoint = 0
             while True:
@@ -399,32 +347,24 @@ class FeedRouter(_StreamDriver):
                 if self.max_records is not None and applied >= self.max_records:
                     stopped_early = True
                     break
-                live = [feed for feed in feeds if not feed.done]
-                if not live:
+                # Route one fleet day: every feed's lines up to its tick.
+                day: Optional[float] = None
+                routed = 0
+                for item in walk:
+                    if isinstance(item, float):
+                        day = item
+                        break
+                    for line in item:
+                        buffers[route_line(line, shards)].append(line)
+                    routed += len(item)
+                applied += routed
+                since_checkpoint += routed
+                self._records_total += routed
+                if self._m_records is not None:
+                    self._m_records.inc(routed)
+                if day is None:
                     reached_eof = True
                     break
-                for feed in live:
-                    if feed.pending_tick is None:
-                        routed = self._read_to_tick(feed, buffers)
-                        applied += routed
-                        since_checkpoint += routed
-                        self._records_total += routed
-                        if self._m_records is not None:
-                            self._m_records.inc(routed)
-                # A feed that hit EOF mid-day contributes its lines but no
-                # tick; the day closes on the feeds that did tick.
-                ticking = [
-                    feed for feed in feeds
-                    if not feed.done and feed.pending_tick is not None
-                ]
-                if not ticking:
-                    continue  # some feeds went EOF; loop re-evaluates
-                days = sorted({feed.pending_tick for feed in ticking})
-                if len(days) != 1:
-                    raise RouterError(
-                        f"vantage feeds disagree on the current day: {days}"
-                    )
-                day = days[0]
                 self._records_total += 1  # the day's tick, applied fleet-wide
                 applied += 1
                 since_checkpoint += 1
@@ -432,10 +372,8 @@ class FeedRouter(_StreamDriver):
                 kind = committer.next_kind() if boundary else None
                 payloads = self._barrier(pool, buffers, day, kind)
                 self._epoch = day
-                for feed in ticking:
-                    feed.pending_tick = None
                 if boundary:
-                    self._commit(feeds, kind, payloads)
+                    self._commit(fleet, kind, payloads)
                     since_checkpoint = 0
                 if self.throttle > 0.0:
                     self._sleeper(self.throttle)
@@ -444,7 +382,7 @@ class FeedRouter(_StreamDriver):
             # chain record when a chain is configured.
             final = self._barrier(pool, buffers, None, "full")
             states = [payload for payload in final if payload is not None]
-            self._commit(feeds, "full" if committer.chained else None, final)
+            self._commit(fleet, "full" if committer.chained else None, final)
             committer.close()
             wall = self._clock() - started
             daily = merged_daily_counts(states)
@@ -482,8 +420,7 @@ class FeedRouter(_StreamDriver):
             )
         finally:
             pool.close()
-            for feed in feeds:
-                feed.close()
+            fleet.close()
 
     def _manifest_spec(self) -> Dict[str, Any]:
         return {

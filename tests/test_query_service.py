@@ -227,6 +227,25 @@ class TestOfflineBuild:
             tmp_path / "live"
         )
 
+    def test_two_feed_build_matches_router_and_scan(self, tmp_path):
+        feed_a = tmp_path / "feed_a.jsonl"
+        feed_b = tmp_path / "feed_b.jsonl"
+        write_trace_feed(feed_a, seed=7)
+        write_trace_feed(feed_b, seed=8)
+        alarms = tmp_path / "alarms.log"
+        FeedRouter(
+            [feed_a, feed_b], alarms, tmp_path / "cp.json",
+            shards=2, checkpoint_every=500, index=tmp_path / "live",
+        ).run()
+        info = build_index(
+            [feed_a, feed_b], alarms, tmp_path / "offline", segment_days=7
+        )
+        assert info["mode"] == "router"
+        assert info["segments"] > 1
+        offline = index_answers(tmp_path / "offline")
+        assert offline == index_answers(tmp_path / "live")
+        assert offline == scan_answers([feed_a, feed_b], alarms)
+
     def test_segmentation_cadence_is_invisible_in_answers(
         self, tmp_path, trace_feed
     ):

@@ -5,14 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.net.addresses import Prefix
+from repro.stream import feed as feed_module
 from repro.stream.feed import FeedRecord, FeedWriter
 from repro.query.track import (
     OriginTracker,
     QueryError,
     alarm_row_from_line,
     alarm_rows_from_range,
-    replay_feed_range,
-    replay_router_range,
+    replay_range,
 )
 
 P1 = Prefix.parse("10.0.0.0/24")
@@ -135,6 +135,8 @@ class TestAlarmRows:
 
 
 class TestReplayFeedRange:
+    """One feed: ``replay_range``'s N=1 case, the service's record order."""
+
     def write_feed(self, path, records):
         with FeedWriter(path) as writer:
             return writer.write_all(records)
@@ -145,7 +147,7 @@ class TestReplayFeedRange:
         self.write_feed(feed, records)
         tracker = OriginTracker()
         out = []
-        assert replay_feed_range(feed, 0, None, tracker, out) == 3
+        assert replay_range([feed], [0], None, tracker, out) == 3
         assert [event[0] for event in out] == ["o", "o", "d"]
 
     def test_range_replay_matches_tailer_offsets(self, tmp_path):
@@ -155,17 +157,43 @@ class TestReplayFeedRange:
         mid = len(data[0]) + len(data[1]) + len(data[2])  # header + 2 records
         tracker = OriginTracker()
         out = []
-        assert replay_feed_range(feed, mid, None, tracker, out) == 1
+        assert replay_range([feed], [mid], None, tracker, out) == 1
         assert out == [["o", 1.0, "10.0.1.0/24", [9]]]
 
     def test_short_file_raises(self, tmp_path):
         feed = tmp_path / "feed.jsonl"
         self.write_feed(feed, [announce(P1, 7)])
         with pytest.raises(QueryError, match="ends at byte"):
-            replay_feed_range(feed, 0, 10_000, OriginTracker(), [])
+            replay_range([feed], [0], [10_000], OriginTracker(), [])
+
+    def test_end_inside_a_line_raises(self, tmp_path):
+        feed = tmp_path / "feed.jsonl"
+        self.write_feed(feed, [announce(P1, 7), tick(0.0)])
+        with pytest.raises(QueryError, match="overran"):
+            replay_range([feed], [0], [feed.stat().st_size - 3], OriginTracker(), [])
+
+    def test_mid_day_end_counts_lines_without_the_tick(self, tmp_path):
+        feed = tmp_path / "feed.jsonl"
+        self.write_feed(
+            feed,
+            [announce(P1, 7), tick(0.0), announce(P1, 3, t=1.0),
+             announce(P2, 9, t=1.0), tick(1.0)],
+        )
+        data = feed.read_bytes().splitlines(keepends=True)
+        mid = sum(len(line) for line in data[:4])  # header .. day 1's first line
+        tracker = OriginTracker()
+        out = []
+        assert replay_range([feed], [0], [mid], tracker, out) == 3
+        assert [event[0] for event in out] == ["o", "d", "o"]
+        # The rest of the day resumes from the same coordinate.
+        rest = []
+        assert replay_range([feed], [mid], None, tracker, rest) == 2
+        assert rest == [["o", 1.0, "10.0.1.0/24", [9]], ["d", 1, 1]]
 
 
 class TestReplayRouterRange:
+    """Several feeds: ``replay_range`` walks the router's interleave."""
+
     def write_feeds(self, tmp_path):
         """Two vantage feeds agreeing on days 0 and 1."""
         a = tmp_path / "feed_a.jsonl"
@@ -185,9 +213,25 @@ class TestReplayRouterRange:
         tracker = OriginTracker()
         out = []
         # 4 announce/withdraw lines + 2 fleet ticks
-        assert replay_router_range([a, b], [0, 0], None, tracker, out) == 6
-        days = [event for event in out if event[0] == "d"]
-        assert days == [["d", 0, 0], ["d", 1, 1]]
+        assert replay_range([a, b], [0, 0], None, tracker, out) == 6
+        # Fan-in order: feed a's day, then feed b's, then the fleet tick.
+        assert out == [
+            ["o", 0.0, "10.0.0.0/24", [7]],
+            ["o", 0.0, "10.0.1.0/24", [9]],
+            ["d", 0, 0],
+            ["o", 1.0, "10.0.0.0/24", [3, 7]],
+            ["o", 1.0, "10.0.1.0/24", []],
+            ["d", 1, 1],
+        ]
+
+    def test_read_batch_size_is_invisible(self, tmp_path, monkeypatch):
+        a, b = self.write_feeds(tmp_path)
+        whole = []
+        assert replay_range([a, b], [0, 0], None, OriginTracker(), whole) == 6
+        monkeypatch.setattr(feed_module, "_BATCH", 1)
+        split = []
+        assert replay_range([a, b], [0, 0], None, OriginTracker(), split) == 6
+        assert split == whole
 
     def test_disagreeing_days_raise(self, tmp_path):
         a = tmp_path / "feed_a.jsonl"
@@ -197,9 +241,9 @@ class TestReplayRouterRange:
         with FeedWriter(b) as writer:
             writer.write_all([tick(5.0)])
         with pytest.raises(QueryError, match="disagree"):
-            replay_router_range([a, b], [0, 0], None, OriginTracker(), [])
+            replay_range([a, b], [0, 0], None, OriginTracker(), [])
 
     def test_count_mismatch_raises(self, tmp_path):
         a, b = self.write_feeds(tmp_path)
         with pytest.raises(QueryError, match="count mismatch"):
-            replay_router_range([a, b], [0], None, OriginTracker(), [])
+            replay_range([a, b], [0], None, OriginTracker(), [])

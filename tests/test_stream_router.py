@@ -23,9 +23,10 @@ import pytest
 from repro.cli import main as cli_main
 from repro.measurement.trace import FaultSpike, TraceConfig, TraceGenerator
 from repro.procpool import WorkerError
+from repro.query import answers_doc, canonical_json, scan_state
 from repro.stream.checkpoint import CheckpointError, load_checkpoint
 from repro.stream.engine import StreamEngine
-from repro.stream.feed import FeedWriter, read_feed, snapshot_deltas
+from repro.stream.feed import FeedError, FeedWriter, read_feed, snapshot_deltas
 from repro.stream.router import (
     FeedRouter,
     RouterError,
@@ -195,7 +196,7 @@ class TestShardedParity:
         records = [r for r in read_feed(feed_a) if r.time >= 3.0]
         with FeedWriter(feed_b) as writer:
             writer.write_all(records)
-        with pytest.raises(RouterError, match="disagree"):
+        with pytest.raises(FeedError, match="disagree"):
             FeedRouter(
                 [feed_a, feed_b], tmp_path / "alarms.jsonl", shards=2
             ).run()
@@ -230,6 +231,72 @@ class TestShardFailure:
         assert lines[0].startswith(
             f"stream run failed: stream-shard {shard} failed: FeedError: "
             "origin must be an integer, got 'x'"
+        )
+
+
+SMALL_CONFIG = TraceConfig(
+    days=6, faults=(), n_background_prefixes=50, include_background=True,
+)
+
+
+class TestFeedBoundary:
+    """The router reads feed lines by the same rule as every other reader:
+    headers are checked, blank lines are skipped."""
+
+    def write_bad_version_feed(self, path):
+        write_trace_feed(path, config=SMALL_CONFIG)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[0] = b'{"format":"repro-stream-feed","version":99}\n'
+        path.write_bytes(b"".join(lines))
+
+    def test_unsupported_feed_version_refused(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        good = tmp_path / "good.jsonl"
+        self.write_bad_version_feed(bad)
+        write_trace_feed(good, config=SMALL_CONFIG)
+        with pytest.raises(FeedError, match="unsupported feed version 99"):
+            FeedRouter([bad], tmp_path / "a1.jsonl", shards=2).run()
+        with pytest.raises(FeedError, match="unsupported feed version 99"):
+            FeedRouter(
+                [bad, good], tmp_path / "a2.jsonl", shards=2,
+                index=tmp_path / "idx",
+            ).run()
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "stream", "run", str(bad),
+                str(good), "--alarms", str(tmp_path / "a3.jsonl"),
+                "--shards", "2", "--index", str(tmp_path / "idx3"),
+            ],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("stream run failed: ")
+        assert "unsupported feed version 99" in lines[0]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        clean = tmp_path / "clean.jsonl"
+        blank = tmp_path / "blank.jsonl"
+        write_trace_feed(clean, config=SMALL_CONFIG)
+        lines = clean.read_bytes().splitlines(keepends=True)
+        padded = [lines[0], b"\n"]
+        for line in lines[1:]:
+            padded += [line, b"\n"] if b'"op":"T"' in line else [line]
+        blank.write_bytes(b"".join(padded))
+        runs = {}
+        for name, feed in (("clean", clean), ("blank", blank)):
+            alarms = tmp_path / f"{name}_alarms.jsonl"
+            summary = FeedRouter([feed], alarms, shards=2).run()
+            runs[name] = (summary.records, summary.days_ticked, alarms.read_bytes())
+        assert runs["blank"] == runs["clean"]
+        assert runs["clean"][1] == SMALL_CONFIG.days
+        # The scan oracle walks the same rule.
+        alarms = tmp_path / "clean_alarms.jsonl"
+        assert canonical_json(answers_doc(scan_state([blank], alarms))) == (
+            canonical_json(answers_doc(scan_state([clean], alarms)))
         )
 
 
