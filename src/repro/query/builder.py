@@ -61,7 +61,7 @@ from repro.query.track import (
 from repro.stream.checkpoint import FaultHook
 from repro.stream.feed import FeedFleet, FeedRecord
 
-#: Index modes: one tailer feed vs the sharded router's N vantage feeds.
+#: Index modes: the service's one feed vs the sharded router's N vantage feeds.
 MODE_SINGLE = "single"
 MODE_ROUTER = "router"
 

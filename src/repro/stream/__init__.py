@@ -11,7 +11,7 @@ answers "what is happening right now".  It consists of:
   incremental checkpoints;
 * :mod:`repro.stream.checkpoint` — versioned checkpoint chains: atomic
   full snapshots plus fsynced delta appends with periodic compaction;
-* :mod:`repro.stream.service` — the tailing loop, and the
+* :mod:`repro.stream.service` — the single-feed ingest loop, and the
   ``BoundaryCommitter`` both drivers share: transactional alarm flushing,
   async double-buffered checkpointing, kill-and-resume bit-identity,
   checkpoint metrics;
@@ -44,11 +44,10 @@ from repro.stream.feed import (
     SimulatorTap,
     feed_header_line,
     parse_feed_line,
-    read_feed,
     snapshot_deltas,
 )
 from repro.stream.router import FeedRouter, RouterError, merged_daily_counts
-from repro.stream.service import FeedTailer, StreamService, StreamSummary
+from repro.stream.service import StreamService, StreamSummary
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -61,7 +60,6 @@ __all__ = [
     "FeedError",
     "FeedRecord",
     "FeedRouter",
-    "FeedTailer",
     "FeedWriter",
     "RouterError",
     "SimulatorTap",
@@ -76,7 +74,6 @@ __all__ = [
     "load_checkpoint",
     "merged_daily_counts",
     "parse_feed_line",
-    "read_feed",
     "reap_stale_tmp",
     "save_checkpoint",
     "snapshot_deltas",

@@ -4,7 +4,7 @@ A *feed* is the streaming counterpart of the daily routing-table snapshots
 the §3 study consumes: an unbounded sequence of per-origin announce /
 withdraw events plus periodic *tick* records marking measurement-period
 boundaries (one tick per day for trace-derived feeds).  The format is one
-JSON object per line — tail-able, FIFO-friendly, and diffable — with a
+JSON object per line — tail-able and diffable — with a
 single header line identifying the format version:
 
 .. code-block:: text
@@ -41,6 +41,8 @@ Two producers are provided:
 from __future__ import annotations
 
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -207,8 +209,8 @@ def parse_feed_line(line: str) -> Optional[FeedRecord]:
 class FeedWriter:
     """Writes a header plus records to a line-delimited feed file.
 
-    Usable as a context manager.  Lines are flushed per record so a tailing
-    service sees them immediately (the FIFO/live-tap case).
+    Usable as a context manager.  Lines are flushed per record so a
+    following service sees them immediately (the live-tap case).
     """
 
     def __init__(self, target: Union[str, Path, IO[str]]) -> None:
@@ -245,20 +247,6 @@ class FeedWriter:
         self.close()
 
 
-def read_feed(path: Union[str, Path]) -> List[FeedRecord]:
-    """Read a complete feed file into memory (small feeds / tests)."""
-    records: List[FeedRecord] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            try:
-                record = parse_feed_line(line)
-            except FeedError as exc:
-                raise FeedError(f"{path}:{lineno}: {exc}") from exc
-            if record is not None:
-                records.append(record)
-    return records
-
-
 # -- the feed walk: one cursor per vantage feed, one day-barrier interleave --
 
 #: Raw-byte markers in the canonical feed serialisation (sorted keys,
@@ -283,11 +271,13 @@ def parse_record_line(line: bytes) -> FeedRecord:
 class FeedCursor:
     """One vantage feed read as raw bytes, with an exact byte offset.
 
-    Reads ``[start, end)``, or to EOF when ``end`` is ``None``; a partial
-    last line ends the feed (its writer may still be appending it).  With
-    an ``end``, a line running past it and a file stopping short of it are
-    both refused: checkpoint and manifest coordinates must fall on line
-    boundaries of this very file.
+    Reads ``[start, end)``, or to EOF when ``end`` is ``None``.  The feed
+    must be a regular file: offsets are resume coordinates, so a pipe is
+    refused.  With an ``end``, a line running past it and a file stopping
+    short of it are both refused: checkpoint and manifest coordinates must
+    fall on line boundaries of this very file.  Without one, a partial last
+    line ends the read (its writer may still be appending it) and stays
+    unconsumed, so a later read of a growing feed retries it.
 
     Every line follows one rule.  A line carrying the canonical prefix
     marker is a record line, handed over unparsed (whoever parses it
@@ -295,7 +285,7 @@ class FeedCursor:
     goes through :func:`parse_feed_line`: blank lines are skipped, headers
     are checked (an unsupported format or version is refused) and skipped,
     a tick ends the read, and a record without the canonical prefix marker
-    is refused as unroutable.
+    is refused as unroutable.  An error names the byte the line starts at.
     """
 
     __slots__ = ("path", "position", "end", "done", "_handle")
@@ -304,6 +294,8 @@ class FeedCursor:
         self, path: Union[str, Path], start: int = 0, end: Optional[int] = None
     ) -> None:
         self.path = Path(path)
+        if not stat.S_ISREG(os.stat(self.path).st_mode):
+            raise FeedError(f"feed {self.path} is not a regular file")
         self._handle: IO[bytes] = self.path.open("rb")
         self.end = end
         self.done = False
@@ -313,19 +305,23 @@ class FeedCursor:
         self._handle.seek(offset)
         self.position = offset
 
-    def read(self) -> Tuple[List[bytes], Optional[float]]:
+    def read(
+        self, limit: Optional[int] = None
+    ) -> Tuple[List[bytes], Optional[float]]:
         """Record lines up to the next tick, and that tick's day.
 
-        The day is ``None`` when the read stopped first: after ``_BATCH``
-        lines, or at the feed's end (then :attr:`done` is set).
+        The day is ``None`` when the read stopped first: after ``limit``
+        lines (default ``_BATCH``), or at the feed's end (then :attr:`done`
+        is set until the next read).
         """
         lines: List[bytes] = []
         append = lines.append
         readline = self._handle.readline
         end = _UNBOUNDED if self.end is None else self.end
         position = self.position
+        self.done = False
         try:
-            for _ in range(_BATCH):
+            for _ in range(_BATCH if limit is None else limit):
                 if position >= end:
                     self.done = True
                     break
@@ -336,6 +332,8 @@ class FeedCursor:
                             f"feed {self.path} ends at byte {position}, "
                             f"expected {end}"
                         )
+                    if line:
+                        self._handle.seek(position)
                     self.done = True
                     break
                 position += len(line)
@@ -350,12 +348,14 @@ class FeedCursor:
                 try:
                     record = parse_feed_line(line.decode("utf-8"))
                 except ValueError as exc:
-                    raise FeedError(f"{self.path} at byte {position}: {exc}") from exc
+                    raise FeedError(
+                        f"{self.path} at byte {position - len(line)}: {exc}"
+                    ) from exc
                 if record is None:
                     continue  # a blank line or a valid header
                 if not record.is_tick:
                     raise FeedError(
-                        f"{self.path} at byte {position}: "
+                        f"{self.path} at byte {position - len(line)}: "
                         f"unroutable feed line {line[:80]!r}"
                     )
                 return lines, record.time

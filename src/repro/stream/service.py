@@ -1,9 +1,10 @@
 """The long-running detection service and the durability domain it shares.
 
-:class:`StreamService` tails a feed file (or FIFO) in batched reads, pushes
-every record through a :class:`~repro.stream.engine.StreamEngine`, and
-hands each checkpoint boundary to a :class:`BoundaryCommitter`, which
-persists the run's artefacts:
+:class:`StreamService` reads a feed file in batches through a
+:class:`~repro.stream.feed.FeedCursor`, pushes every record through a
+:class:`~repro.stream.engine.StreamEngine`, and hands each checkpoint
+boundary to a :class:`BoundaryCommitter`, which persists the run's
+artefacts:
 
 * the **alarm log** — one canonical JSON line per first-seen alarm;
 * the **checkpoint chain** — a full engine snapshot plus delta-encoded
@@ -53,7 +54,6 @@ from functools import partial
 from pathlib import Path
 from types import FrameType
 from typing import (
-    IO,
     TYPE_CHECKING,
     Any,
     Callable,
@@ -79,7 +79,13 @@ from repro.stream.checkpoint import (
     reap_stale_tmp,
 )
 from repro.stream.engine import StreamEngine
-from repro.stream.feed import FeedError, FeedRecord, parse_feed_line
+from repro.stream.feed import (
+    OP_TICK,
+    FeedCursor,
+    FeedError,
+    FeedRecord,
+    parse_feed_line,
+)
 
 if TYPE_CHECKING:  # runtime import is lazy: stream never *needs* query
     from repro.query.builder import IndexBuilder, IndexJob
@@ -122,48 +128,6 @@ def fault_hook_from_env() -> Optional[FaultHook]:
             os._exit(FAULT_EXIT_CODE)
 
     return hook
-
-
-class FeedTailer:
-    """Batched reader over a feed file, tracking exact byte offsets.
-
-    Reads in binary so ``byte_offset`` is always the start of the next
-    unconsumed line.  A partial line at EOF (a writer caught mid-record) is
-    left unconsumed — the next poll re-reads it once the newline lands.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._handle: IO[bytes] = self.path.open("rb")
-        self.byte_offset = 0
-
-    def seek(self, byte_offset: int) -> None:
-        self._handle.seek(byte_offset)
-        self.byte_offset = byte_offset
-
-    def read_batch(self, limit: int) -> List[FeedRecord]:
-        """Up to ``limit`` records; empty means EOF (poll again or finish)."""
-        records: List[FeedRecord] = []
-        while len(records) < limit:
-            position = self._handle.tell()
-            line = self._handle.readline()
-            if not line:
-                break
-            if not line.endswith(b"\n"):
-                self._handle.seek(position)
-                break
-            self.byte_offset = self._handle.tell()
-            try:
-                record = parse_feed_line(line.decode("utf-8"))
-            except FeedError as exc:
-                raise FeedError(f"{self.path} at byte {position}: {exc}") from exc
-            if record is not None:
-                records.append(record)
-        return records
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
 
 
 @dataclass
@@ -677,9 +641,9 @@ class StreamService(_StreamDriver):
     def run(self, resume: bool = False) -> StreamSummary:
         started = self._clock()
         committer = self._committer
-        tailer = FeedTailer(self.feed_path)
+        cursor = FeedCursor(self.feed_path)
         try:
-            committer.open(partial(self._restore, tailer) if resume else None)
+            committer.open(partial(self._restore, cursor) if resume else None)
             builder = committer.builder
             applied = 0
             since_checkpoint = 0
@@ -690,7 +654,7 @@ class StreamService(_StreamDriver):
                 limit = self.batch_size
                 if self.max_records is not None:
                     limit = min(limit, self.max_records - applied)
-                batch = tailer.read_batch(limit)
+                batch = self._read_batch(cursor, limit)
                 if not batch:
                     if not self.follow:
                         reached_eof = True
@@ -707,11 +671,11 @@ class StreamService(_StreamDriver):
                 if self.throttle > 0.0:
                     self._sleeper(self.throttle)
                 if since_checkpoint >= self.checkpoint_every:
-                    self._commit(tailer)
+                    self._commit(cursor)
                     since_checkpoint = 0
             # Graceful exit: whatever stopped us, leave the log and
             # checkpoint agreeing on a resumable record boundary.
-            self._commit(tailer)
+            self._commit(cursor)
             committer.close()
             wall = self._clock() - started
             return StreamSummary(
@@ -738,18 +702,44 @@ class StreamService(_StreamDriver):
             try:
                 committer.close()
             finally:
-                tailer.close()
+                cursor.close()
 
-    def _restore(self, tailer: FeedTailer, checkpoint: Checkpoint) -> None:
+    def _read_batch(self, cursor: FeedCursor, limit: int) -> List[FeedRecord]:
+        """Up to ``limit`` records, ticks included; fewer only at the
+        feed's end (then none means: poll again, or finish)."""
+        batch: List[FeedRecord] = []
+        append = batch.append
+        while len(batch) < limit:
+            lines, day = cursor.read(limit - len(batch))
+            # Parsed through this module's ``parse_feed_line`` (not
+            # ``parse_record_line``): perfbench's traced run times it here.
+            for line in lines:
+                try:
+                    record = parse_feed_line(line.decode("utf-8"))
+                except ValueError as exc:
+                    raise FeedError(f"{cursor.path}: {exc}") from exc
+                if record is None:
+                    raise FeedError(
+                        f"{cursor.path}: not an announce or withdraw: "
+                        f"{line[:80]!r}"
+                    )
+                append(record)
+            if day is not None:
+                append(FeedRecord(op=OP_TICK, time=day))
+            elif cursor.done:
+                break
+        return batch
+
+    def _restore(self, cursor: FeedCursor, checkpoint: Checkpoint) -> None:
         self.engine.restore_state(checkpoint.engine_state)
         if checkpoint.offset != self.engine.offset:
             raise CheckpointError(
                 f"checkpoint offset {checkpoint.offset} disagrees with its "
                 f"engine state offset {self.engine.offset}"
             )
-        tailer.seek(checkpoint.byte_offset)
+        cursor.seek(checkpoint.byte_offset)
 
-    def _commit(self, tailer: FeedTailer) -> None:
+    def _commit(self, cursor: FeedCursor) -> None:
         kind = self._committer.next_kind()
         pending, self._pending = self._pending, []
         self._committer.commit(
@@ -757,7 +747,7 @@ class StreamService(_StreamDriver):
             kind,
             capture_state(self.engine, kind),
             records=self.engine.offset,
-            feed=tailer.byte_offset,
+            feed=cursor.position,
         )
 
     def _manifest_spec(self) -> Dict[str, Any]:

@@ -12,18 +12,24 @@ from repro.measurement.trace import TraceConfig, TraceGenerator
 from repro.net.addresses import Prefix
 from repro.stream.feed import (
     FEED_FORMAT,
+    FeedCursor,
     FeedError,
+    FeedFleet,
     FeedRecord,
     FeedWriter,
     SimulatorTap,
     feed_header_line,
     parse_feed_line,
-    read_feed,
     snapshot_deltas,
 )
 
 P1 = Prefix.parse("10.0.0.0/24")
 P2 = Prefix.parse("10.0.1.0/24")
+
+
+def read_records(path):
+    with FeedFleet([path]) as fleet:
+        return list(fleet.records())
 
 
 class TestFeedRecord:
@@ -117,7 +123,7 @@ class TestFeedWriter:
         assert len(lines) == 3
         assert writer.records_written == 2
 
-    def test_read_feed_round_trip(self, tmp_path):
+    def test_records_round_trip(self, tmp_path):
         path = tmp_path / "feed.jsonl"
         records = [
             FeedRecord(op="A", time=0.0, prefix=P1, origin=7, moas=(7, 9)),
@@ -126,13 +132,86 @@ class TestFeedWriter:
         ]
         with FeedWriter(path) as writer:
             assert writer.write_all(records) == 3
-        assert read_feed(path) == records
+        assert read_records(path) == records
 
-    def test_read_feed_reports_line_numbers(self, tmp_path):
+
+class TestFeedCursor:
+    def write(self, path, records):
+        with FeedWriter(path) as writer:
+            writer.write_all(records)
+        return path.read_bytes().splitlines(keepends=True)
+
+    def test_reads_batches_skipping_header(self, tmp_path):
         path = tmp_path / "feed.jsonl"
-        path.write_text(feed_header_line() + "\n{broken\n")
-        with pytest.raises(FeedError, match=":2:"):
-            read_feed(path)
+        records = [
+            FeedRecord(op="A", time=0.0, prefix=P1, origin=7),
+            FeedRecord(op="W", time=1.0, prefix=P1, origin=7),
+            FeedRecord(op="T", time=1.0),
+        ]
+        lines = self.write(path, records)
+        cursor = FeedCursor(path)
+        try:
+            # The limit counts lines: the header is read, and yields nothing.
+            assert cursor.read(2) == ([lines[1]], None)
+            assert cursor.read(10) == ([lines[2]], 1.0)
+            assert not cursor.done
+            assert cursor.read(10) == ([], None)
+            assert cursor.done
+            assert cursor.position == path.stat().st_size
+        finally:
+            cursor.close()
+
+    def test_partial_line_left_unconsumed(self, tmp_path):
+        path = tmp_path / "feed.jsonl"
+        with path.open("w") as handle:
+            handle.write(FeedRecord(op="T", time=0.0).to_json_line() + "\n")
+            handle.write('{"op": "T", "t": 1')  # no trailing newline
+        cursor = FeedCursor(path)
+        try:
+            assert cursor.read() == ([], 0.0)
+            resumable = cursor.position
+            assert cursor.read() == ([], None)
+            assert cursor.done
+            assert cursor.position == resumable
+            # The producer finishes the line; the next read picks it up.
+            with path.open("a") as handle:
+                handle.write(".5}\n")
+            assert cursor.read() == ([], 1.5)
+            assert not cursor.done
+            assert cursor.position == path.stat().st_size
+        finally:
+            cursor.close()
+
+    def test_byte_offset_survives_seek(self, tmp_path):
+        path = tmp_path / "feed.jsonl"
+        records = [
+            FeedRecord(op="A", time=0.0, prefix=P1, origin=origin)
+            for origin in range(1, 6)
+        ]
+        self.write(path, records)
+        first = FeedCursor(path)
+        first.read(3)
+        mark = first.position
+        rest = first.read()
+        first.close()
+        assert len(rest[0]) == 3
+        second = FeedCursor(path)
+        try:
+            second.seek(mark)
+            assert second.read() == rest
+        finally:
+            second.close()
+
+    def test_bad_line_error_names_file_and_byte(self, tmp_path):
+        path = tmp_path / "feed.jsonl"
+        path.write_text('{"op": "T", "t": 0}\n{broken\n')
+        cursor = FeedCursor(path)
+        try:
+            assert cursor.read() == ([], 0.0)
+            with pytest.raises(FeedError, match=f"{path} at byte 20: not valid"):
+                cursor.read()
+        finally:
+            cursor.close()
 
 
 class TestSnapshotDeltas:
@@ -193,8 +272,9 @@ class TestSnapshotDeltas:
         path = tmp_path / "trace.jsonl"
         with FeedWriter(path) as writer:
             written = writer.write_all(snapshot_deltas(generator.snapshots()))
-        assert len(read_feed(path)) == written
-        assert sum(1 for r in read_feed(path) if r.op == "T") == 20
+        records = read_records(path)
+        assert len(records) == written
+        assert sum(1 for r in records if r.op == "T") == 20
 
 
 class TestSimulatorTap:
@@ -258,4 +338,4 @@ class TestSimulatorTap:
         path = tmp_path / "tap.jsonl"
         with FeedWriter(path) as writer:
             writer.write_all(records)
-        assert read_feed(path) == records
+        assert read_records(path) == records

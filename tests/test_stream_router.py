@@ -26,7 +26,7 @@ from repro.procpool import WorkerError
 from repro.query import answers_doc, canonical_json, scan_state
 from repro.stream.checkpoint import CheckpointError, load_checkpoint
 from repro.stream.engine import StreamEngine
-from repro.stream.feed import FeedError, FeedWriter, read_feed, snapshot_deltas
+from repro.stream.feed import FeedError, FeedFleet, FeedWriter, snapshot_deltas
 from repro.stream.router import (
     FeedRouter,
     RouterError,
@@ -48,6 +48,11 @@ def write_trace_feed(path, seed=7, config=TRACE_CONFIG):
     generator = TraceGenerator(config, random.Random(seed))
     with FeedWriter(path) as writer:
         return writer.write_all(snapshot_deltas(generator.snapshots()))
+
+
+def read_records(path):
+    with FeedFleet([path]) as fleet:
+        return list(fleet.records())
 
 
 def write_corrupt_feed(path):
@@ -151,8 +156,8 @@ class TestShardedParity:
         write_trace_feed(feed_b, seed=11, config=config_b)
         by_day_a, by_day_b = {}, {}
         for records, bucket in (
-            (read_feed(feed_a), by_day_a),
-            (read_feed(feed_b), by_day_b),
+            (read_records(feed_a), by_day_a),
+            (read_records(feed_b), by_day_b),
         ):
             for record in records:
                 bucket.setdefault(int(record.time), []).append(record)
@@ -193,7 +198,7 @@ class TestShardedParity:
             ),
         )
         # feed_b's first tick is day 3: the vantage points disagree.
-        records = [r for r in read_feed(feed_a) if r.time >= 3.0]
+        records = [r for r in read_records(feed_a) if r.time >= 3.0]
         with FeedWriter(feed_b) as writer:
             writer.write_all(records)
         with pytest.raises(FeedError, match="disagree"):

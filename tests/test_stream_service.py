@@ -1,4 +1,4 @@
-"""Tests for the feed tailer and the resumable stream service.
+"""Tests for the resumable stream service.
 
 The load-bearing property here is the ISSUE acceptance criterion: a run
 killed mid-stream and resumed from its checkpoint produces an alarm log
@@ -23,7 +23,7 @@ from repro.net.addresses import Prefix
 from repro.obs.metrics import MetricsRegistry
 from repro.stream.checkpoint import CheckpointError, load_checkpoint
 from repro.stream.feed import FeedError, FeedRecord, FeedWriter, snapshot_deltas
-from repro.stream.service import FeedTailer, StreamService
+from repro.stream.service import StreamService
 
 P1 = Prefix.parse("10.0.0.0/24")
 
@@ -40,71 +40,6 @@ def write_trace_feed(path, seed=7, config=TRACE_CONFIG):
     generator = TraceGenerator(config, random.Random(seed))
     with FeedWriter(path) as writer:
         return writer.write_all(snapshot_deltas(generator.snapshots()))
-
-
-class TestFeedTailer:
-    def test_reads_batches_skipping_header(self, tmp_path):
-        path = tmp_path / "feed.jsonl"
-        records = [
-            FeedRecord(op="A", time=0.0, prefix=P1, origin=7),
-            FeedRecord(op="W", time=1.0, prefix=P1, origin=7),
-            FeedRecord(op="T", time=1.0),
-        ]
-        with FeedWriter(path) as writer:
-            writer.write_all(records)
-        tailer = FeedTailer(path)
-        try:
-            assert tailer.read_batch(2) == records[:2]
-            assert tailer.read_batch(10) == records[2:]
-            assert tailer.read_batch(10) == []
-        finally:
-            tailer.close()
-
-    def test_partial_line_left_unconsumed(self, tmp_path):
-        path = tmp_path / "feed.jsonl"
-        complete = FeedRecord(op="T", time=0.0)
-        with path.open("w") as handle:
-            handle.write(complete.to_json_line() + "\n")
-            handle.write('{"op": "T", "t": 1')  # no trailing newline
-        tailer = FeedTailer(path)
-        try:
-            assert tailer.read_batch(10) == [complete]
-            resumable = tailer.byte_offset
-            assert tailer.read_batch(10) == []
-            assert tailer.byte_offset == resumable
-            # The producer finishes the line; the tailer picks it up.
-            with path.open("a") as handle:
-                handle.write(".5}\n")
-            assert tailer.read_batch(10) == [FeedRecord(op="T", time=1.5)]
-        finally:
-            tailer.close()
-
-    def test_byte_offset_survives_seek(self, tmp_path):
-        path = tmp_path / "feed.jsonl"
-        records = [FeedRecord(op="T", time=float(t)) for t in range(5)]
-        with FeedWriter(path) as writer:
-            writer.write_all(records)
-        first = FeedTailer(path)
-        first.read_batch(3)
-        mark = first.byte_offset
-        rest = first.read_batch(10)
-        first.close()
-        second = FeedTailer(path)
-        try:
-            second.seek(mark)
-            assert second.read_batch(10) == rest
-        finally:
-            second.close()
-
-    def test_bad_line_error_names_file_and_byte(self, tmp_path):
-        path = tmp_path / "feed.jsonl"
-        path.write_text('{"op": "T", "t": 0}\n{broken\n')
-        tailer = FeedTailer(path)
-        try:
-            with pytest.raises(FeedError, match="at byte 20"):
-                tailer.read_batch(10)
-        finally:
-            tailer.close()
 
 
 class TestServiceBasics:
@@ -268,6 +203,40 @@ class TestFollowAndThrottle:
         assert summary.eof is False
         assert polls == [0.01, 0.01]
 
+    def test_follow_applies_a_completed_partial_line_once(self, tmp_path):
+        feed = tmp_path / "feed.jsonl"
+        announce = FeedRecord(op="A", time=0.0, prefix=P1, origin=7).to_json_line()
+        tick = FeedRecord(op="T", time=0.0).to_json_line()
+        with FeedWriter(feed) as writer:
+            writer.write(FeedRecord(op="A", time=0.0, prefix=P1, origin=3))
+        with feed.open("a") as handle:
+            handle.write(announce[:10])  # the writer is caught mid-line
+        cp_path = tmp_path / "cp.json"
+        service = StreamService(
+            feed, tmp_path / "alarms.jsonl", cp_path, follow=True,
+            poll_interval=0.01, async_io=False,
+        )
+        tails = [announce[10:20], announce[20:] + "\n" + tick + "\n"]
+
+        def fake_sleeper(seconds):
+            if tails:
+                with feed.open("a") as handle:
+                    handle.write(tails.pop(0))
+            else:
+                service.request_stop()
+
+        service._sleeper = fake_sleeper
+        summary = service.run()
+        assert summary.records == 3
+        assert summary.days_ticked == 1
+        assert summary.alarms_emitted == 1  # origin 7 against origin 3
+        assert summary.stopped is True
+        assert load_checkpoint(cp_path).byte_offset == feed.stat().st_size
+        StreamService(feed, tmp_path / "baseline.jsonl").run()
+        assert (tmp_path / "alarms.jsonl").read_bytes() == (
+            tmp_path / "baseline.jsonl"
+        ).read_bytes()
+
     def test_throttle_sleeps_once_per_batch(self, tmp_path):
         feed = tmp_path / "feed.jsonl"
         with FeedWriter(feed) as writer:
@@ -297,6 +266,70 @@ class TestFollowAndThrottle:
         summary = service.run()
         assert summary.wall_seconds > 0
         assert summary.events_per_sec > 0
+
+
+class TestLineRule:
+    """The service reads by the one line rule every feed reader applies."""
+
+    def run_cli(self, *args):
+        env = dict(os.environ, PYTHONPATH="src")
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    def test_unmarked_record_line_refused_like_the_scan(self, tmp_path):
+        feed = tmp_path / "feed.jsonl"
+        feed.write_text(
+            '{"format":"repro-stream-feed","version":1}\n'
+            '{"op": "A", "p": "10.0.0.0/24", "t": 0, "o": 701}\n'
+            '{"op":"T","t":0}\n'
+        )
+        alarms = tmp_path / "alarms.jsonl"
+        run = self.run_cli("stream", "run", str(feed), "--alarms", str(alarms))
+        alarms.write_text("")
+        scan = self.run_cli("query", "scan", str(feed), "--alarms", str(alarms))
+        for proc in (run, scan):
+            assert proc.returncode == 1, proc.stdout
+            assert "Traceback" not in proc.stderr
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1, proc.stderr
+            assert "unroutable feed line" in lines[0]
+            assert f"{feed} at byte 43" in lines[0]
+
+    def test_bad_record_line_error_names_the_feed(self, tmp_path):
+        feed = tmp_path / "feed.jsonl"
+        feed.write_text(
+            '{"format":"repro-stream-feed","version":1}\n'
+            '{"o":"x","op":"A","p":"10.0.0.0/24","t":0}\n'
+        )
+        service = StreamService(feed, tmp_path / "alarms.jsonl")
+        with pytest.raises(FeedError, match=f"{feed}: origin must be an integer"):
+            service.run()
+
+    def test_header_with_the_marker_refused(self, tmp_path):
+        feed = tmp_path / "feed.jsonl"
+        feed.write_text(
+            '{"format":"repro-stream-feed","p":"x","version":1}\n'
+        )
+        service = StreamService(feed, tmp_path / "alarms.jsonl")
+        with pytest.raises(FeedError, match="not an announce or withdraw"):
+            service.run()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_feed_refused(self, tmp_path):
+        fifo = tmp_path / "feed.fifo"
+        os.mkfifo(fifo)
+        with pytest.raises(FeedError, match=f"feed {fifo} is not a regular file"):
+            StreamService(fifo, tmp_path / "alarms.jsonl").run()
+        proc = self.run_cli(
+            "stream", "run", str(fifo), "--alarms", str(tmp_path / "a.jsonl")
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"stream run failed: feed {fifo} is not a regular file"
+        ]
 
 
 class TestManifest:
