@@ -59,7 +59,6 @@ def _run_service(feed, out_dir, tag, index=None):
         out_dir / f"cp_{tag}.json",
         checkpoint_every=2000,
         full_every=32,
-        batch_size=1024,
         index=index,
     )
     started = time.perf_counter()

@@ -14,7 +14,7 @@ Four measurements back the online detector's viability:
 3. **Legacy full-snapshot cost**: the identical cadence with
    ``full_every=1`` — every boundary a full snapshot, the pre-chain
    behaviour — to keep the win visible (it used to cost ~60%).
-4. **Sharded aggregate**: the 4-shard :class:`FeedRouter` over the same
+4. **Sharded aggregate**: ``StreamService(shards=4)`` over the same
    feed.  The aggregate rate is recorded unconditionally; the ≥3× scaling
    assertion only runs on boxes with ≥4 cores (the CI container is
    single-core, where sharding can only add IPC cost).
@@ -33,7 +33,6 @@ from conftest import emit
 
 from repro.measurement.trace import FaultSpike, TraceConfig, TraceGenerator
 from repro.stream.feed import FeedWriter, snapshot_deltas
-from repro.stream.router import FeedRouter
 from repro.stream.service import StreamService
 
 #: A 120-day paper-calibrated segment with one fault spike; refresh mode
@@ -63,24 +62,22 @@ def _run_service(feed, out_dir, tag, checkpoint_every=None, full_every=32):
         kwargs["checkpoint"] = out_dir / f"cp_{tag}.json"
         kwargs["checkpoint_every"] = checkpoint_every
         kwargs["full_every"] = full_every
-    service = StreamService(
-        feed, out_dir / f"alarms_{tag}.jsonl", batch_size=1024, **kwargs
-    )
+    service = StreamService(feed, out_dir / f"alarms_{tag}.jsonl", **kwargs)
     started = time.perf_counter()
     summary = service.run()
     return time.perf_counter() - started, summary
 
 
-def _run_router(feed, out_dir, tag, shards):
-    router = FeedRouter(
-        [feed],
+def _run_sharded(feed, out_dir, tag, shards):
+    service = StreamService(
+        feed,
         out_dir / f"alarms_{tag}.jsonl",
         out_dir / f"cp_{tag}.json",
         shards=shards,
         checkpoint_every=2000,
     )
     started = time.perf_counter()
-    summary = router.run()
+    summary = service.run()
     return time.perf_counter() - started, summary
 
 
@@ -112,7 +109,7 @@ def test_bench_stream_throughput(results_dir, tmp_path):
         key=lambda pair: pair[0],
     )
     shard_secs, sharded = min(
-        (_run_router(feed, tmp_path, f"shard{i}", shards=4) for i in range(2)),
+        (_run_sharded(feed, tmp_path, f"shard{i}", shards=4) for i in range(2)),
         key=lambda pair: pair[0],
     )
 
@@ -189,8 +186,8 @@ def test_bench_stream_throughput(results_dir, tmp_path):
     emit(results_dir, "BENCH_stream", "\n".join(lines))
 
     assert plain_rate > 0.0
-    # Checkpoints land on batch boundaries, so the cadence is the first
-    # multiple of batch_size at or past checkpoint_every (2048 here).
+    # Checkpoints land on day ticks, the first at or past every
+    # checkpoint_every records (one a day here: a day holds ~4,000).
     assert ckpt.checkpoints >= records // (2 * 2048)
     # The delta chain must keep checkpointing cheap: the budget is
     # generous for noisy CI boxes, the on-box target is <10%.

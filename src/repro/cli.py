@@ -442,48 +442,30 @@ def _cmd_stream_run(args: argparse.Namespace) -> int:
     from repro.obs.metrics import MetricsRegistry
     from repro.procpool import WorkerError
     from repro.stream.checkpoint import CheckpointError
-    from repro.stream.router import FeedRouter
     from repro.stream.service import StreamService
 
     if args.resume and args.checkpoint is None:
         print("--resume requires --checkpoint", file=sys.stderr)
         return 2
-    sharded = args.shards > 1 or len(args.feed) > 1
-    if sharded and args.follow:
-        print("--follow is not supported with sharded routing", file=sys.stderr)
+    if args.follow and (args.shards > 1 or len(args.feed) > 1):
+        print("--follow is not supported with several feeds or shards", file=sys.stderr)
         return 2
     metrics = MetricsRegistry()
-    service: Any
-    if sharded:
-        service = FeedRouter(
-            args.feed,
-            args.alarms,
-            args.checkpoint,
-            shards=args.shards,
-            window=args.window,
-            checkpoint_every=args.checkpoint_every,
-            full_every=args.full_every,
-            throttle=args.throttle,
-            max_records=args.max_records,
-            metrics=metrics,
-            index=args.index,
-        )
-    else:
-        service = StreamService(
-            args.feed[0],
-            args.alarms,
-            args.checkpoint,
-            window=args.window,
-            batch_size=args.batch,
-            checkpoint_every=args.checkpoint_every,
-            full_every=args.full_every,
-            follow=args.follow,
-            poll_interval=args.poll,
-            throttle=args.throttle,
-            max_records=args.max_records,
-            metrics=metrics,
-            index=args.index,
-        )
+    service = StreamService(
+        args.feed,
+        args.alarms,
+        args.checkpoint,
+        shards=args.shards,
+        window=args.window,
+        checkpoint_every=args.checkpoint_every,
+        full_every=args.full_every,
+        follow=args.follow,
+        poll_interval=args.poll,
+        throttle=args.throttle,
+        max_records=args.max_records,
+        metrics=metrics,
+        index=args.index,
+    )
     service.install_signal_handlers()
     try:
         summary = service.run(resume=args.resume)
@@ -550,7 +532,8 @@ def _cmd_query_build(args: argparse.Namespace) -> int:
         return 1
     print(
         f"index built: {args.out} ({info['segments']} segment(s), "
-        f"{info['records']} records, {info['days']} days, {info['mode']} mode)"
+        f"{info['records']} records, {info['days']} days, "
+        f"{info['feeds']} feed(s))"
     )
     return 0
 
@@ -857,22 +840,21 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="tail a feed file and detect MOAS conflicts online"
     )
     run.add_argument("feed", nargs="+",
-                     help="update-feed file(s); multiple vantage-point "
-                     "feeds imply sharded routing")
+                     help="update-feed file(s); several vantage-point feeds "
+                     "are merged at day ticks")
     run.add_argument("--alarms", required=True, metavar="PATH",
                      help="alarm log to write (one JSON line per alarm)")
     run.add_argument("--checkpoint", default=None, metavar="PATH",
                      help="checkpoint file for kill-and-resume")
     run.add_argument("--checkpoint-every", type=int, default=1000,
-                     metavar="N", help="checkpoint every N records")
+                     metavar="N", help="checkpoint at the first day tick "
+                     "after every N records")
     run.add_argument("--full-every", type=int, default=32, metavar="N",
                      help="compact the delta chain into a full snapshot "
                      "every N checkpoints (default 32)")
     run.add_argument("--shards", type=int, default=1, metavar="S",
                      help="partition the prefix space across S engine "
-                     "processes (>1 enables the feed router)")
-    run.add_argument("--batch", type=int, default=256,
-                     help="records per batched read")
+                     "processes (1: one engine in this process)")
     run.add_argument("--resume", action="store_true",
                      help="resume from --checkpoint instead of starting fresh")
     run.add_argument("--follow", action="store_true",
@@ -881,11 +863,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="EOF poll interval in follow mode")
     run.add_argument(
         "--throttle", type=float, default=0.0, metavar="SECONDS",
-        help="sleep after each batch (rate-limits a replay so it can be "
+        help="sleep after each day (rate-limits a replay so it can be "
         "interrupted mid-stream)",
     )
     run.add_argument("--max-records", type=int, default=None, metavar="N",
-                     help="stop after N records (deterministic interruption)")
+                     help="stop at the first day tick after N records "
+                     "(deterministic interruption)")
     run.add_argument("--window", type=float, default=30.0, metavar="TICKS",
                      help="evict dead-prefix evidence after this many quiet "
                      "ticks")

@@ -1,14 +1,14 @@
 """The index builder: boundary-coupled segment construction.
 
-:class:`IndexBuilder` rides the stream's checkpoint boundaries.  During a
-batch it accumulates index events — from its own
-:class:`~repro.query.track.OriginTracker` on the single-engine path
-(:meth:`observe`), or shipped back from shard trackers at router barriers
-(:meth:`ingest_events`).  At each boundary the service calls
-:meth:`prepare_boundary` *synchronously* (cheap: drains buffers into a
-canonical segment document and the next manifest) and executes the
-returned :class:`IndexJob` on its writer path **after** the alarm fsync
-and the chain write::
+:class:`IndexBuilder` rides the stream's checkpoint boundaries.  Between
+two it accumulates index events — from its own
+:class:`~repro.query.track.OriginTracker` when the service's one shard
+runs in-process (:meth:`observe`), or shipped back from worker shards'
+trackers at day barriers (:meth:`ingest_events`).  At each boundary the
+service calls :meth:`prepare_boundary` *synchronously* (cheap: drains
+buffers into a canonical segment document and the next manifest) and
+executes the returned :class:`IndexJob` on its writer path **after** the
+alarm fsync and the chain write::
 
     alarm append+fsync  ->  chain record  ->  segment file  ->  manifest
 
@@ -61,29 +61,25 @@ from repro.query.track import (
 from repro.stream.checkpoint import FaultHook
 from repro.stream.feed import FeedFleet, FeedRecord
 
-#: Index modes: the service's one feed vs the sharded router's N vantage feeds.
-MODE_SINGLE = "single"
-MODE_ROUTER = "router"
+#: The manifest's ``mode``: the coordinate form its ``end`` is written in.
+#: A manifest in any other form (an older single-feed index) is foreign.
+INDEX_MODE = "feed_offsets"
 
 
 def coordinates(
-    mode: str, records: int, alarm_bytes: int, offsets: Sequence[int]
+    records: int, alarm_bytes: int, offsets: Sequence[int]
 ) -> Dict[str, Any]:
-    """Boundary coordinates; only the feed key differs per mode."""
-    if mode == MODE_ROUTER:
-        return {
-            "records": records,
-            "alarm_bytes": alarm_bytes,
-            "feed_offsets": list(offsets),
-        }
-    return {"records": records, "alarm_bytes": alarm_bytes, "feed_bytes": offsets[0]}
+    """Boundary coordinates: records, alarm-log bytes, one offset per feed."""
+    return {
+        "records": records,
+        "alarm_bytes": alarm_bytes,
+        "feed_offsets": list(offsets),
+    }
 
 
 def feed_offsets(coords: Dict[str, Any]) -> List[int]:
-    """The per-feed byte offsets of either mode's coordinates."""
-    if "feed_offsets" in coords:
-        return [int(offset) for offset in coords["feed_offsets"]]
-    return [int(coords["feed_bytes"])]
+    """The per-feed byte offsets of boundary coordinates."""
+    return [int(offset) for offset in coords["feed_offsets"]]
 
 
 @dataclass
@@ -111,8 +107,7 @@ class IndexBuilder:
         self._alarm_rows: List[AlarmRow] = []
         self._entries: List[Dict[str, Any]] = []
         self._generation = 0
-        self._mode = MODE_SINGLE
-        self._last_end: Dict[str, Any] = coordinates(MODE_SINGLE, 0, 0, [0])
+        self._last_end: Dict[str, Any] = coordinates(0, 0, [0])
         self.segments_written = 0
         self.manifests_written = 0
         self.catchup_records = 0
@@ -130,7 +125,7 @@ class IndexBuilder:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start_fresh(self, mode: str = MODE_SINGLE, feed_count: int = 1) -> None:
+    def start_fresh(self, feed_count: int = 1) -> None:
         """Begin an empty index, wiping any previous one in the directory.
 
         Mirrors the service's fresh-run alarm-log truncation: a fresh run
@@ -141,13 +136,12 @@ class IndexBuilder:
         if manifest_path.exists():
             manifest_path.unlink()
         reap_unreferenced(self.index_dir, None)
-        self._mode = mode
         self._tracker = OriginTracker()
         self._events = []
         self._alarm_rows = []
         self._entries = []
         self._generation = 0
-        self._last_end = coordinates(mode, 0, 0, [0] * feed_count)
+        self._last_end = coordinates(0, 0, [0] * feed_count)
 
     def resume(
         self,
@@ -161,11 +155,11 @@ class IndexBuilder:
 
         ``end`` comes from
         :meth:`repro.stream.checkpoint.Checkpoint.index_coordinates`, and
-        ``tip`` is the same checkpoint's engine document.  The manifest
+        ``tip`` is the same checkpoint's composite document.  The manifest
         (the index commit point) can only be at or behind it; a manifest
         *ahead* of the chain is a stale index from a longer prior run and
-        triggers a from-scratch rebuild, as does a mode or feed-count
-        mismatch.
+        triggers a from-scratch rebuild, as does a foreign coordinate form
+        or a feed-count mismatch.
 
         A manifest that ends exactly at ``end`` (every graceful stop) seeds
         the origin tracker from ``tip``'s live origin sets and decodes no
@@ -178,17 +172,15 @@ class IndexBuilder:
         manifested segment is checked against its manifest digest, and a
         missing or altered one is refused.
         """
-        mode = MODE_ROUTER if "feed_offsets" in end else MODE_SINGLE
         self.index_dir.mkdir(parents=True, exist_ok=True)
         manifest = load_manifest(self.index_dir)  # refuses torn manifests
         reap_unreferenced(self.index_dir, manifest)
-        if manifest is not None and not self._compatible(manifest, mode, end):
+        if manifest is not None and not self._compatible(manifest, end):
             manifest = None  # stale or foreign: rebuild from scratch
         if manifest is None:
-            self.start_fresh(mode, feed_count=len(feeds))
+            self.start_fresh(feed_count=len(feeds))
             start = dict(self._last_end)
         else:
-            self._mode = mode
             self._entries = [dict(entry) for entry in manifest["segments"]]
             self._generation = int(manifest["generation"])
             self._last_end = dict(manifest["end"])
@@ -209,10 +201,8 @@ class IndexBuilder:
         if job is not None:
             self.commit(job)
 
-    def _compatible(
-        self, manifest: Dict[str, Any], mode: str, end: Dict[str, Any]
-    ) -> bool:
-        if manifest["mode"] != mode:
+    def _compatible(self, manifest: Dict[str, Any], end: Dict[str, Any]) -> bool:
+        if manifest["mode"] != INDEX_MODE:
             return False
         manifest_end = manifest["end"]
         if int(manifest_end["records"]) > int(end["records"]):
@@ -273,13 +263,13 @@ class IndexBuilder:
     # -- ingest --------------------------------------------------------------
 
     def observe(self, record: FeedRecord) -> None:
-        """Single-engine hot path: fold one already-parsed feed record."""
+        """In-process shard hot path: fold one already-parsed feed record."""
         event = self._tracker.apply(record)
         if event is not None:
             self._events.append(event)
 
     def ingest_events(self, events: Iterable[IndexEvent]) -> None:
-        """Router path: adopt events a shard tracker computed."""
+        """Worker-shard path: adopt events a shard's tracker computed."""
         self._events.extend(events)
 
     # -- boundaries ----------------------------------------------------------
@@ -310,7 +300,7 @@ class IndexBuilder:
         self._generation += 1
         self._last_end = dict(end)
         manifest = manifest_doc(
-            self._generation, self._mode, self._last_end, list(self._entries)
+            self._generation, INDEX_MODE, self._last_end, list(self._entries)
         )
         return IndexJob(segment=doc, manifest=manifest)
 
@@ -350,16 +340,15 @@ def build_index(
         raise ValueError(f"segment_days must be >= 1, got {segment_days}")
     feed_paths = [Path(feed) for feed in feeds]
     alarms_path = Path(alarms)
-    mode = MODE_ROUTER if len(feed_paths) > 1 else MODE_SINGLE
     builder = IndexBuilder(index_dir, metrics=metrics)
-    builder.start_fresh(mode, feed_count=len(feed_paths))
+    builder.start_fresh(feed_count=len(feed_paths))
 
     alarm_cursor = _AlarmCursor(alarms_path)
     records = 0
     days_seen = 0
 
     def cut(records: int, offsets: List[int]) -> None:
-        end = coordinates(mode, records, alarm_cursor.position, offsets)
+        end = coordinates(records, alarm_cursor.position, offsets)
         job = builder.prepare_boundary(end, [])
         if job is not None:
             builder.commit(job)
@@ -382,7 +371,7 @@ def build_index(
         "records": records,
         "days": days_seen,
         "segments": builder.segments_written,
-        "mode": mode,
+        "feeds": len(feed_paths),
     }
 
 

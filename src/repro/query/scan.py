@@ -30,9 +30,9 @@ def scan_state(
 ) -> StoreState:
     """Fold the complete feed(s) + alarm log into a fresh store state.
 
-    One feed path replays the single-engine order; several replay the
-    router's day-barrier interleave.  The alarm log may be absent (a run
-    that never alarmed) — that is an empty alarm history, not an error.
+    The feeds replay in the service's day-barrier interleave.  The alarm
+    log may be absent (a run that never alarmed) — that is an empty alarm
+    history, not an error.
     """
     tracker = OriginTracker()
     events: List[IndexEvent] = []

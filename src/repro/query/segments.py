@@ -22,17 +22,16 @@ The on-disk index is a directory:
 Segment document::
 
     {"format": "repro-query-segment", "version": 1, "seq": 3,
-     "start": {"records": …, "alarm_bytes": …, "feed_bytes": …},
+     "start": {"records": …, "alarm_bytes": …, "feed_offsets": […]},
      "end":   {…},
      "alarm_days": [[day, count], …], "moas_days": [[day, count], …],
      "prefixes": [[prefix, {"alarms": [row, …], "origins": [[t, [o…]], …]}], …]}
 
-``start``/``end`` are boundary coordinates: ``records`` and
-``alarm_bytes`` always; ``feed_bytes`` for a single-feed service or
-``feed_offsets`` (one per vantage feed) for the sharded router.  Every
-query answer is invariant to where segment boundaries fall (property-
-tested), so the service, the router, and the offline builder may cut
-segments on different cadences and still serve identical answers.
+``start``/``end`` are boundary coordinates: ``records``, ``alarm_bytes``
+and ``feed_offsets`` (one byte offset per vantage feed).  Every query
+answer is invariant to where segment boundaries fall (property-tested),
+so the service and the offline builder may cut segments on different
+cadences and still serve identical answers.
 """
 
 from __future__ import annotations

@@ -67,21 +67,20 @@ class OriginTracker:
 
     @classmethod
     def from_engine_state(cls, state: Mapping[str, Any]) -> "OriginTracker":
-        """Rebuild a tracker from a checkpointed engine document.
+        """Rebuild a tracker from a checkpointed composite document.
 
-        ``state`` is one :meth:`~repro.stream.engine.StreamEngine.snapshot_state`
-        document, or a router composite whose shards' prefix sets are
-        disjoint.  An engine's ``origins`` are exactly the live origin sets
-        a tracker folds from the same records (both drop an origin on its
-        withdrawal and a prefix with its last origin; eviction only touches
-        prefixes with none), so this equals the tracker at the same feed
-        position.
+        ``state["shards"]`` holds one
+        :meth:`~repro.stream.engine.StreamEngine.snapshot_state` document per
+        shard, their prefix sets disjoint.  An engine's ``origins`` are
+        exactly the live origin sets a tracker folds from the same records
+        (both drop an origin on its withdrawal and a prefix with its last
+        origin; eviction only touches prefixes with none), so this equals
+        the tracker at the same feed position.
         """
-        shards = state["shards"] if "shards" in state else [state]
         return cls.from_live(
             {
                 prefix: [origin for origin, _ in pairs]
-                for shard in shards
+                for shard in state["shards"]
                 for prefix, pairs in shard["origins"]
             }
         )
@@ -194,13 +193,12 @@ def replay_range(
     """Replay feed bytes ``[starts[i], ends[i])`` through ``tracker``.
 
     ``ends=None`` replays every feed to EOF.  The walk is
-    :class:`~repro.stream.feed.FeedFleet`'s: one feed replays the
-    single-engine service's order, several the router's day-barrier
-    interleave.  Per-prefix event order matches a sharded run because a
-    prefix lives in exactly one shard and a shard applies its lines in the
+    :class:`~repro.stream.feed.FeedFleet`'s, the one the service ingests
+    by.  Per-prefix event order matches a sharded run because a prefix
+    lives in exactly one shard and a shard applies its lines in the
     parent's read order — which is this order.  Returns the records applied
     (record lines plus one per fleet tick, headers and blank lines
-    excluded), matching both drivers' accounting.  A feed the walk refuses
+    excluded), matching the service's accounting.  A feed the walk refuses
     raises :class:`QueryError`.
     """
     records = 0

@@ -11,12 +11,13 @@ answers "what is happening right now".  It consists of:
   incremental checkpoints;
 * :mod:`repro.stream.checkpoint` — versioned checkpoint chains: atomic
   full snapshots plus fsynced delta appends with periodic compaction;
-* :mod:`repro.stream.service` — the single-feed ingest loop, and the
-  ``BoundaryCommitter`` both drivers share: transactional alarm flushing,
-  async double-buffered checkpointing, kill-and-resume bit-identity,
+* :mod:`repro.stream.service` — the one ingest driver (1..N vantage
+  feeds on 1..S shards, committed at day ticks) and its
+  ``BoundaryCommitter``: transactional alarm flushing, async
+  double-buffered checkpointing, kill-and-resume bit-identity,
   checkpoint metrics;
-* :mod:`repro.stream.router` — N vantage-point feeds sharded by prefix
-  across worker processes, merged into the same durability domain.
+* :mod:`repro.stream.router` — the shards as worker processes, each
+  record line routed by prefix.
 
 See ``docs/streaming.md`` for the feed format, checkpoint-chain layout,
 sharding, and resume semantics.
@@ -46,8 +47,7 @@ from repro.stream.feed import (
     parse_feed_line,
     snapshot_deltas,
 )
-from repro.stream.router import FeedRouter, RouterError, merged_daily_counts
-from repro.stream.service import StreamService, StreamSummary
+from repro.stream.service import StreamService, StreamSummary, merged_daily_counts
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -59,9 +59,7 @@ __all__ = [
     "FEED_VERSION",
     "FeedError",
     "FeedRecord",
-    "FeedRouter",
     "FeedWriter",
-    "RouterError",
     "SimulatorTap",
     "StreamAlarm",
     "StreamEngine",

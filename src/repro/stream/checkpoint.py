@@ -3,15 +3,15 @@
 A checkpoint names everything the service needs to resume exactly where it
 stopped:
 
-* ``offset`` / ``byte_offset`` — how many feed records were consumed and
-  where the next one starts in the feed file;
+* ``offset`` — how many feed records were applied;
 * ``alarm_lines`` / ``alarm_bytes`` — how many alarm-log lines (and bytes)
   were durably flushed, so resume can roll the log back with one
   ``os.truncate`` instead of a non-atomic rewrite;
-* ``engine`` — either a full
-  :meth:`~repro.stream.engine.StreamEngine.snapshot_state` document or the
-  sharded router's composite state (one engine state per shard plus feed
-  coordinates).
+* ``engine`` — the service's composite state: ``shard_count``, ``window``,
+  the last completed day (``epoch``), each vantage feed's byte offset
+  (``feed_offsets``) and one
+  :meth:`~repro.stream.engine.StreamEngine.snapshot_state` document per
+  shard (``shards``) — at one shard as at many.
 
 Durability is a **chain**: the checkpoint path holds the most recent *full*
 snapshot, and a sibling ``<path>.deltas`` file accumulates one JSON line
@@ -50,13 +50,12 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.fsio import fsync_parent_dir
-from repro.stream.delta import StateFold, state_fold
+from repro.stream.delta import CompositeFold
 
 CHECKPOINT_FORMAT = "repro-stream-checkpoint"
-CHECKPOINT_VERSION = 2
-#: Versions this loader understands (v1, without ``alarm_bytes`` or chains,
-#: is refused).
-SUPPORTED_VERSIONS = (2,)
+#: The one version this loader reads.  v1 had no ``alarm_bytes`` or
+#: chains; v2 also allowed a single-engine document with a ``byte_offset``.
+CHECKPOINT_VERSION = 3
 
 DELTA_FORMAT = "repro-stream-checkpoint-delta"
 
@@ -74,25 +73,19 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """One resumable service state (full engine/router document)."""
+    """One resumable service state (a full composite document)."""
 
     offset: int
-    byte_offset: int
     alarm_lines: int
     engine_state: Dict[str, Any] = field(default_factory=dict)
     alarm_bytes: int = 0
 
     def __post_init__(self) -> None:
-        if (
-            self.offset < 0
-            or self.byte_offset < 0
-            or self.alarm_lines < 0
-            or self.alarm_bytes < 0
-        ):
+        if self.offset < 0 or self.alarm_lines < 0 or self.alarm_bytes < 0:
             raise CheckpointError(
                 f"checkpoint coordinates must be non-negative, got "
-                f"offset={self.offset} byte_offset={self.byte_offset} "
-                f"alarm_lines={self.alarm_lines} alarm_bytes={self.alarm_bytes}"
+                f"offset={self.offset} alarm_lines={self.alarm_lines} "
+                f"alarm_bytes={self.alarm_bytes}"
             )
 
     def to_json(self) -> str:
@@ -102,7 +95,6 @@ class Checkpoint:
                 "format": CHECKPOINT_FORMAT,
                 "version": CHECKPOINT_VERSION,
                 "offset": self.offset,
-                "byte_offset": self.byte_offset,
                 "alarm_lines": self.alarm_lines,
                 "alarm_bytes": self.alarm_bytes,
                 "engine": self.engine_state,
@@ -120,25 +112,16 @@ class Checkpoint:
 
         The boundary hook the query subsystem (:mod:`repro.query`) shares
         with the stream: how many records are folded in, how many alarm-log
-        bytes are durable, and where the feed cursor(s) stand — ``feed_bytes``
-        for a single-engine service, ``feed_offsets`` (one per vantage feed)
-        for the sharded router's composite state.  An index manifest is
-        valid for a chain exactly when its end coordinates are component-wise
-        at or behind these.
+        bytes are durable, and where each vantage feed's cursor stands
+        (``feed_offsets``).  An index manifest is valid for a chain exactly
+        when its end coordinates are component-wise at or behind these.
         """
-        if "shard_count" in self.engine_state:  # router composite document
-            return {
-                "records": self.offset,
-                "alarm_bytes": self.alarm_bytes,
-                "feed_offsets": [
-                    int(offset)
-                    for offset in self.engine_state["feed_offsets"]
-                ],
-            }
         return {
             "records": self.offset,
             "alarm_bytes": self.alarm_bytes,
-            "feed_bytes": self.byte_offset,
+            "feed_offsets": [
+                int(offset) for offset in self.engine_state["feed_offsets"]
+            ],
         }
 
     @classmethod
@@ -154,12 +137,14 @@ class Checkpoint:
                 f"not a {CHECKPOINT_FORMAT} document: {data.get('format')!r}"
             )
         version = data.get("version")
-        if version not in SUPPORTED_VERSIONS:
-            raise CheckpointError(f"unsupported checkpoint version {version!r}")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"unsupported checkpoint version {version!r} (this build "
+                f"reads version {CHECKPOINT_VERSION}; start the run afresh)"
+            )
         try:
             return cls(
                 offset=int(data["offset"]),
-                byte_offset=int(data["byte_offset"]),
                 alarm_lines=int(data["alarm_lines"]),
                 engine_state=dict(data["engine"]),
                 alarm_bytes=int(data["alarm_bytes"]),
@@ -275,7 +260,6 @@ class ChainWriter:
         self,
         *,
         offset: int,
-        byte_offset: int,
         alarm_lines: int,
         alarm_bytes: int,
         delta: Dict[str, Any],
@@ -291,7 +275,6 @@ class ChainWriter:
             "seq": self._seq + 1,
             "base": self._base_digest,
             "offset": offset,
-            "byte_offset": byte_offset,
             "alarm_lines": alarm_lines,
             "alarm_bytes": alarm_bytes,
             "delta": delta,
@@ -336,9 +319,8 @@ def load_chain(path: Union[str, Path]) -> LoadedChain:
     delta_file = delta_path_for(target)
     # Every delta folds into one unpacked copy of the snapshot, which is
     # sorted and materialised once after the last valid line.
-    fold: Optional[StateFold] = None
+    fold: Optional[CompositeFold] = None
     offset = full.offset
-    byte_offset = full.byte_offset
     alarm_lines = full.alarm_lines
     alarm_bytes = full.alarm_bytes
     seq = 0
@@ -365,7 +347,7 @@ def load_chain(path: Union[str, Path]) -> LoadedChain:
                     f"delta line {seq + 1} in {delta_file} is not a "
                     f"{DELTA_FORMAT} record"
                 )
-            if record.get("version") not in SUPPORTED_VERSIONS:
+            if record.get("version") != CHECKPOINT_VERSION:
                 raise CheckpointError(
                     f"unsupported delta version {record.get('version')!r} "
                     f"in {delta_file}"
@@ -382,11 +364,10 @@ def load_chain(path: Union[str, Path]) -> LoadedChain:
                 )
             try:
                 new_offset = int(record["offset"])
-                new_byte_offset = int(record["byte_offset"])
                 new_alarm_lines = int(record["alarm_lines"])
                 new_alarm_bytes = int(record["alarm_bytes"])
                 if fold is None:
-                    fold = state_fold(full.engine_state)
+                    fold = CompositeFold(full.engine_state)
                 fold.apply(dict(record["delta"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise CheckpointError(
@@ -398,7 +379,6 @@ def load_chain(path: Union[str, Path]) -> LoadedChain:
                     f"{offset} -> {new_offset}"
                 )
             offset = new_offset
-            byte_offset = new_byte_offset
             alarm_lines = new_alarm_lines
             alarm_bytes = new_alarm_bytes
             seq += 1
@@ -413,7 +393,6 @@ def load_chain(path: Union[str, Path]) -> LoadedChain:
             ) from exc
     tip = Checkpoint(
         offset=offset,
-        byte_offset=byte_offset,
         alarm_lines=alarm_lines,
         engine_state=state,
         alarm_bytes=alarm_bytes,

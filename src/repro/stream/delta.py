@@ -9,20 +9,19 @@ counts, ticked days — plus the handful of scalar counters, all in the same
 canonical JSON-safe shape as the full snapshot.
 
 This module owns the pure state algebra, deliberately free of any file
-I/O so it can be property-tested in isolation and reused by both the
-single-engine service and the sharded router:
+I/O so it can be property-tested in isolation:
 
-* :func:`state_fold` — unpack a full document (an engine state, or a
-  router composite with one engine state per shard plus feed coordinates)
-  into dicts once; each :meth:`~EngineFold.apply` folds one delta into
-  them, and :meth:`~EngineFold.document` sorts and materialises the
-  canonical document once, equal to what ``snapshot_state`` would have
-  produced at the last folded boundary.  The chain loader
+* :class:`CompositeFold` — unpack a full composite document (one engine
+  state per shard plus feed coordinates) into dicts once, one
+  :class:`EngineFold` per shard a delta touches; each ``apply`` folds one
+  delta into them, and ``document`` sorts and materialises the canonical
+  document once, equal to what ``snapshot_state`` would have produced at
+  the last folded boundary.  The chain loader
   (:func:`repro.stream.checkpoint.load_chain`) folds every delta line of
   a chain through one fold, so replaying a chain costs O(state + delta
   bytes) and computes each prefix's sort key once, however long the chain;
 * :func:`apply_engine_delta` / :func:`apply_state_delta` — one-delta calls
-  of the same fold, for engine and router composite documents.
+  of the same folds, for one engine state and for a composite document.
 
 Delta semantics are **set-to-value**: each dirtied key carries its complete
 current value, with ``None`` meaning "deleted".  Applying a delta is
@@ -35,7 +34,7 @@ the loader can name the offending line.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net.addresses import Prefix
 
@@ -49,7 +48,7 @@ ENGINE_SCALARS = (
     "evictions",
 )
 
-#: Router composite keys a delta may overwrite besides its shards.
+#: Composite keys a delta may overwrite besides its shards.
 COMPOSITE_KEYS = ("feed_offsets", "epoch", "feed_ticks")
 
 
@@ -146,7 +145,7 @@ class EngineFold:
 
 
 class CompositeFold:
-    """A router composite document: one :class:`EngineFold` per shard.
+    """A composite checkpoint document: one :class:`EngineFold` per shard.
 
     A shard no delta has touched yet keeps its document object as given,
     unfolded and unsorted.
@@ -189,16 +188,6 @@ class CompositeFold:
         return merged
 
 
-StateFold = Union[EngineFold, CompositeFold]
-
-
-def state_fold(state: Dict[str, Any]) -> StateFold:
-    """The fold for an engine state or a router composite state."""
-    if "shards" in state:
-        return CompositeFold(state)
-    return EngineFold(state)
-
-
 def apply_engine_delta(
     state: Dict[str, Any], delta: Dict[str, Any]
 ) -> Dict[str, Any]:
@@ -215,10 +204,10 @@ def apply_engine_delta(
 def apply_state_delta(
     state: Dict[str, Any], delta: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """Fold a delta into either an engine state or a router composite state.
+    """Fold a delta into a composite checkpoint document.
 
-    Router composite documents hold one engine state per shard under
-    ``"shards"`` plus the feed-fan-in coordinates; their deltas carry one
-    engine delta per shard in shard order.
+    Composite documents hold one engine state per shard under ``"shards"``
+    plus the feed coordinates; their deltas carry one engine delta (or
+    ``None``) per shard in shard order.
     """
-    return state_fold(state).apply(delta).document()
+    return CompositeFold(state).apply(delta).document()

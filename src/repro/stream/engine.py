@@ -115,9 +115,8 @@ class StreamEngine:
         # Alarm dedup/aggregation: evidence key -> occurrence count.
         self._alarm_counts: Dict[AlarmKey, int] = {}
         # Keys dirtied since the last checkpoint boundary (delta encoding).
-        # Tracked per component: a refresh re-announcement touches only the
-        # activity stamp, so the (unchanged) origin map and evidence set of
-        # that prefix must not be re-serialised at the next boundary.
+        # Tracked per component, so a change to one component of a prefix
+        # never re-serialises the (unchanged) others at the next boundary.
         self._dirty_origins: Set[Prefix] = set()
         self._dirty_observed: Set[Prefix] = set()
         self._dirty_activity: Set[Prefix] = set()
@@ -197,8 +196,12 @@ class StreamEngine:
             self._m_announces.inc()
         prefix, origin = record.prefix, record.origin
         assert prefix is not None and origin is not None  # FeedRecord invariant
-        self._last_activity[prefix] = record.time
-        self._dirty_activity.add(prefix)
+        # Only _evict reads a stamp, and only a dead prefix's: an announce
+        # makes the prefix live, and the withdrawal that next kills it
+        # stamps it again.  So drop the stamp, and dirty it only if one
+        # was there — a refresh of a live table dirties nothing.
+        if self._last_activity.pop(prefix, None) is not None:
+            self._dirty_activity.add(prefix)
         moas_list = MoasList(record.effective_moas())
         # A malformed announcement (origin missing from its own list) still
         # becomes live state: the engine only ever raises alarms.
@@ -384,11 +387,11 @@ class StreamEngine:
         :func:`repro.stream.delta.apply_engine_delta` folds them into a
         prior :meth:`snapshot_state` document to reproduce this engine's
         state exactly.  The three per-prefix components are tracked (and
-        emitted) independently: a refresh-mode workload re-announces the
-        whole live table daily, dirtying every activity stamp, but the
-        origin maps and evidence sets it leaves untouched stay out of the
-        payload — that asymmetry is what keeps incremental checkpoints
-        cheap at exactly the workload where full snapshots are dearest.
+        emitted) independently, and a live prefix carries no activity
+        stamp: a refresh-mode workload re-announces the whole live table
+        daily, yet its identical routes leave all three untouched — that is
+        what keeps incremental checkpoints cheap at exactly the workload
+        where full snapshots are dearest.
         Scalar counters are always included (they are a handful of ints).
         Does not clear the dirty sets; pair with :meth:`mark_clean` once
         the payload is handed to the writer.

@@ -57,6 +57,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -378,8 +379,9 @@ class FeedFleet:
       :class:`FeedError`), and one tick then closes it fleet-wide;
     * a feed that ends mid-day adds its lines but no tick.
 
-    One feed is the N=1 case: its lines, then its tick — the single-engine
-    service's record order and count, mid-day ``end`` included.
+    One feed is the N=1 case: its lines, then its tick, mid-day ``end``
+    included.  A one-feed walk that ended at the feed's end can be started
+    again to pick up what was appended since (the service's follow mode).
     """
 
     def __init__(

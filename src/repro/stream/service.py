@@ -1,30 +1,42 @@
-"""The long-running detection service and the durability domain it shares.
+"""The stream pipeline's one ingest driver and its durability domain.
 
-:class:`StreamService` reads a feed file in batches through a
-:class:`~repro.stream.feed.FeedCursor`, pushes every record through a
-:class:`~repro.stream.engine.StreamEngine`, and hands each checkpoint
-boundary to a :class:`BoundaryCommitter`, which persists the run's
-artefacts:
+:class:`StreamService` walks 1..N vantage feeds with a
+:class:`~repro.stream.feed.FeedFleet` (each feed up to its day tick, one
+tick per day fleet-wide), applies every record on 1..S :class:`Shard`
+engines, and hands each checkpoint boundary to a
+:class:`BoundaryCommitter`, which persists the run's artefacts:
 
 * the **alarm log** — one canonical JSON line per first-seen alarm;
-* the **checkpoint chain** — a full engine snapshot plus delta-encoded
-  incremental boundaries (see :mod:`repro.stream.checkpoint`);
+* the **checkpoint chain** — a full composite snapshot (one engine state
+  per shard plus the feed offsets) and delta-encoded incremental
+  boundaries (see :mod:`repro.stream.checkpoint`);
 * optionally the **query index** (see :mod:`repro.query.builder`).
 
-The committer is the only code that writes any of them, for this service
-and for the sharded :class:`~repro.stream.router.FeedRouter` alike.  The
-three are coupled transactionally: pending alarm lines reach the log *only*
-at boundaries (and once more at a graceful stop), and the chain record
-written immediately after states how many lines — and bytes — are durable;
-the index manifest comes last.  A run killed at an arbitrary point
-therefore leaves an alarm log whose durable prefix is named by the last
-durable chain record, and a resume — which replays the chain, rolls the
-log back with a single truncate to the recorded byte offset, and seeks
-the feed to the recorded byte offset — continues producing exactly the
-remaining lines.  Concatenating the two runs' logs reproduces the
-uninterrupted log byte for byte; ``tests/test_stream_service.py``, the
-fault-injection suite in ``tests/test_stream_faults.py`` and the
-``stream-smoke`` CI job hold that property.
+At one shard the shard runs in this process: no fork, no pipe, no
+routing.  At S > 1 the shards are forked workers and every record line is
+routed by prefix (see :mod:`repro.stream.router`).
+
+**One cadence.**  A boundary falls at the first day tick after
+``checkpoint_every`` records, never inside a day: a cut inside one feed's
+share of a day would leave the feeds disagreeing on the day at resume.  A
+graceful stop (SIGTERM, ``max_records``) takes effect at the next tick;
+the one exception is a ``follow`` run idle at the end of its feed, which
+commits where it stands.  The closing commit is written only if records
+were applied since the last boundary, or if this run wrote none yet.
+
+The committer is the only code that writes any artefact.  The three are
+coupled transactionally: pending alarm lines reach the log *only* at
+boundaries, and the chain record written immediately after states how
+many lines — and bytes — are durable; the index manifest comes last.  A
+run killed at an arbitrary point therefore leaves an alarm log whose
+durable prefix is named by the last durable chain record, and a resume —
+which replays the chain, rolls the log back with a single truncate to the
+recorded byte offset, and seeks every feed to its recorded byte offset —
+continues producing exactly the remaining lines.  Concatenating the two
+runs' logs reproduces the uninterrupted log byte for byte;
+``tests/test_stream_service.py``, the fault-injection suite in
+``tests/test_stream_faults.py`` and the ``stream-smoke`` CI job hold that
+property.
 
 Serialisation is **double-buffered off the ingest path**: at a boundary the
 service captures the (cheap, delta-encoded) payload synchronously, then
@@ -81,14 +93,15 @@ from repro.stream.checkpoint import (
 from repro.stream.engine import StreamEngine
 from repro.stream.feed import (
     OP_TICK,
-    FeedCursor,
     FeedError,
+    FeedFleet,
     FeedRecord,
     parse_feed_line,
 )
 
-if TYPE_CHECKING:  # runtime import is lazy: stream never *needs* query
+if TYPE_CHECKING:  # runtime imports are lazy: stream never *needs* query
     from repro.query.builder import IndexBuilder, IndexJob
+    from repro.stream.router import ShardPool
 
 #: Environment hook for crash-injection in subprocess tests: a fault-point
 #: name, optionally ``:n`` to crash on the n-th hit (default first).
@@ -256,15 +269,14 @@ def capture_state(
 class BoundaryCommitter:
     """The stream pipeline's one durability domain.
 
-    Owns a run's alarm log, checkpoint chain and optional query index, for
-    the single-engine :class:`StreamService` (``composite=False``, one
-    feed) and the sharded router (``composite=True``) alike.  A driver
-    calls :meth:`open` once, then :meth:`commit` once per boundary with the
-    alarm lines since the previous one and the engine payload of the kind
-    :meth:`next_kind` named, then :meth:`close`.  Every boundary is written
-    in the one order resume relies on — alarm lines appended and fsynced,
-    then the chain record that accounts for them, then the index manifest —
-    inline, or on a background :class:`_WriterPump` with ``async_io``.
+    Owns a run's alarm log, checkpoint chain and optional query index.
+    The service calls :meth:`open` once, then :meth:`commit` once per
+    boundary with the alarm lines since the previous one and the composite
+    payload of the kind :meth:`next_kind` named, then :meth:`close`.  Every
+    boundary is written in the one order resume relies on — alarm lines
+    appended and fsynced, then the chain record that accounts for them,
+    then the index manifest — inline, or on a background
+    :class:`_WriterPump` with ``async_io``.
     """
 
     def __init__(
@@ -273,7 +285,6 @@ class BoundaryCommitter:
         checkpoint: Optional[Union[str, Path]],
         *,
         feeds: Sequence[Path],
-        composite: bool,
         full_every: int,
         clock: Callable[[], float],
         metrics: Optional[MetricsRegistry] = None,
@@ -287,7 +298,6 @@ class BoundaryCommitter:
         self.checkpoint_path = None if checkpoint is None else Path(checkpoint)
         self.full_every = full_every
         self._feeds = list(feeds)
-        self._composite = composite
         self._clock = clock
         self._async_io = async_io
         self._fault: FaultHook = fault or fault_hook_from_env() or _no_fault
@@ -316,20 +326,15 @@ class BoundaryCommitter:
             self._m_fulls = metrics.counter("stream.checkpoint_fulls")
             self._m_deltas = metrics.counter("stream.checkpoint_deltas")
 
-    @property
-    def chained(self) -> bool:
-        """Whether boundaries write chain records (a checkpoint path is set)."""
-        return self._chain is not None
-
     # -- start -----------------------------------------------------------------
 
     def open(self, restore: Optional[Callable[[Checkpoint], None]] = None) -> None:
         """Start fresh (``restore`` is None) or resume from the chain tip.
 
-        On resume, ``restore`` receives the tip once its document kind is
-        checked; it rebuilds the driver's engine state and seeks its feeds
-        (raising :class:`CheckpointError` to refuse) before the alarm log,
-        the chain and the index are rolled to the same boundary.
+        On resume, ``restore`` receives the chain tip; it rebuilds the
+        shards' engine state and seeks the feeds (raising
+        :class:`CheckpointError` to refuse) before the alarm log, the chain
+        and the index are rolled to the same boundary.
         """
         if self.checkpoint_path is not None:
             # A crash mid-write strands `<name>*.tmp` files that nothing
@@ -343,12 +348,7 @@ class BoundaryCommitter:
             self.alarm_lines = 0
             self._reset_log()
             if self.builder is not None:
-                from repro.query.builder import MODE_ROUTER, MODE_SINGLE
-
-                self.builder.start_fresh(
-                    MODE_ROUTER if self._composite else MODE_SINGLE,
-                    feed_count=len(self._feeds),
-                )
+                self.builder.start_fresh(feed_count=len(self._feeds))
         if self._async_io:
             self._pump = _WriterPump(self._execute)
 
@@ -364,14 +364,6 @@ class BoundaryCommitter:
             raise ValueError("resume requested but no checkpoint path configured")
         chain = load_chain(self.checkpoint_path)
         checkpoint = chain.checkpoint
-        kinds = ("single-engine", "router composite")
-        found = kinds["shard_count" in checkpoint.engine_state]
-        wanted = kinds[self._composite]
-        if found != wanted:
-            raise CheckpointError(
-                f"{self.checkpoint_path} is a {found} checkpoint, not a "
-                f"{wanted} one"
-            )
         restore(checkpoint)
         self.alarm_lines = checkpoint.alarm_lines
         if self.alarms_path.exists():
@@ -443,26 +435,23 @@ class BoundaryCommitter:
         state: Optional[Dict[str, Any]],
         *,
         records: int,
-        feed: Union[int, List[int]],
+        offsets: List[int],
     ) -> None:
         """Make one boundary durable.
 
         ``lines`` are the alarm lines since the previous boundary, ``state``
-        the engine payload of ``kind`` (see :func:`capture_state`),
-        ``records`` the feed records applied so far and ``feed`` the feed
-        cursor: a byte offset, or one per vantage feed when composite.
+        the composite payload of ``kind``, ``records`` the feed records
+        applied so far and ``offsets`` each vantage feed's byte offset.
         """
         began = self._clock()
         self.alarm_lines += len(lines)
         self.alarm_bytes += sum(len(line.encode("utf-8")) + 1 for line in lines)
-        byte_offset = 0 if isinstance(feed, list) else feed
         full: Optional[Checkpoint] = None
         delta: Optional[Dict[str, Any]] = None
         if kind == "full":
             assert state is not None
             full = Checkpoint(
                 offset=records,
-                byte_offset=byte_offset,
                 alarm_lines=self.alarm_lines,
                 engine_state=state,
                 alarm_bytes=self.alarm_bytes,
@@ -476,7 +465,6 @@ class BoundaryCommitter:
             assert state is not None
             delta = {
                 "offset": records,
-                "byte_offset": byte_offset,
                 "alarm_lines": self.alarm_lines,
                 "alarm_bytes": self.alarm_bytes,
                 "delta": state,
@@ -491,9 +479,12 @@ class BoundaryCommitter:
                 self._m_checkpoints.inc()
         job: Optional["IndexJob"] = None
         if self.builder is not None:
-            cursor = "feed_offsets" if isinstance(feed, list) else "feed_bytes"
             job = self.builder.prepare_boundary(
-                {"records": records, "alarm_bytes": self.alarm_bytes, cursor: feed},
+                {
+                    "records": records,
+                    "alarm_bytes": self.alarm_bytes,
+                    "feed_offsets": offsets,
+                },
                 lines,
             )
         task: _WriterTask = (lines, full, delta, job)
@@ -537,61 +528,94 @@ class BoundaryCommitter:
             self.seconds += self._clock() - began
 
 
-class _StreamDriver:
-    """What the two ingest loops share besides their committer: a graceful
-    stop and the run's manifest line."""
-
-    _stop_requested = False
-
-    def request_stop(self) -> None:
-        """Finish the in-flight batch (the router: day), commit its
-        boundary, then return."""
-        self._stop_requested = True
-
-    def install_signal_handlers(self) -> None:
-        """SIGTERM/SIGINT -> graceful stop (main thread only)."""
-        signal.signal(signal.SIGTERM, self._on_signal)
-        signal.signal(signal.SIGINT, self._on_signal)
-
-    def _on_signal(self, signum: int, frame: Optional[FrameType]) -> None:
-        self.request_stop()
-
-    def _manifest_spec(self) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    def manifest_record(
-        self,
-        summary: StreamSummary,
-        spec: Optional[Dict[str, Any]] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> ManifestRecord:
-        """The run's single manifest line (timing under quarantined keys)."""
-        base_spec = self._manifest_spec()
-        worker = base_spec["kind"]
-        if spec is not None:
-            base_spec.update(spec)
-        return ManifestRecord(
-            index=0,
-            seed=0,
-            spec=base_spec,
-            outcome=summary.to_dict(),
-            metrics={} if metrics is None else dict(metrics.snapshot()),
-            worker=worker,
-            wall_seconds=summary.wall_seconds,
-        )
+def merged_daily_counts(shard_states: Sequence[Dict[str, Any]]) -> Dict[int, int]:
+    """Global per-day MOAS counts: the sum of the shards' ``daily_counts``."""
+    totals: Dict[int, int] = {}
+    for state in shard_states:
+        for day, count in state["daily_counts"]:
+            totals[int(day)] = totals.get(int(day), 0) + int(count)
+    return dict(sorted(totals.items()))
 
 
-class StreamService(_StreamDriver):
-    """Tail a feed, detect online, checkpoint incrementally, survive kills."""
+class Shard:
+    """One engine over a share of the prefix space, fed raw record lines.
+
+    The service runs one in its own process when it has one shard; with
+    more, each forked worker of :mod:`repro.stream.router` runs one behind
+    its receive loop.  ``observe`` sees every applied record, ticks
+    included, in apply order: the index builder in this process, a
+    worker-local origin tracker in a fork.
+    """
+
+    __slots__ = ("engine", "_observe", "_pending")
 
     def __init__(
         self,
-        feed: Union[str, Path],
+        window: float,
+        *,
+        metrics: Optional[MetricsRegistry] = None,
+        observe: Optional[Callable[[FeedRecord], None]] = None,
+    ) -> None:
+        self.engine = StreamEngine(window=window, metrics=metrics)
+        self._observe = observe
+        self._pending: List[str] = []
+
+    def apply_lines(self, lines: Sequence[bytes]) -> None:
+        """Parse and apply announce/withdraw lines, in order."""
+        apply = self.engine.apply
+        pending = self._pending
+        observe = self._observe
+        for line in lines:
+            # This module's ``parse_feed_line``, looked up per call:
+            # perfbench's traced run times it here.
+            record = parse_feed_line(line.decode("utf-8"))
+            if record is None:
+                raise FeedError(f"not an announce or withdraw: {line[:80]!r}")
+            for alarm in apply(record):
+                pending.append(alarm.to_json_line())
+            if observe is not None:
+                observe(record)
+
+    def barrier(
+        self, day: Optional[float], kind: Optional[str]
+    ) -> Tuple[List[str], Optional[Dict[str, Any]], Optional[Dict[str, Any]]]:
+        """Close ``day`` by applying its tick (``None``: the run's closing
+        barrier), then hand back the alarm lines since the previous
+        barrier, the engine payload of ``kind`` (see :func:`capture_state`)
+        and, at the closing barrier only, the counters the run's summary
+        adds up."""
+        engine = self.engine
+        if day is not None:
+            tick = FeedRecord(op=OP_TICK, time=day)
+            engine.apply(tick)
+            if self._observe is not None:
+                self._observe(tick)
+        lines, self._pending = self._pending, []
+        counters: Optional[Dict[str, Any]] = None
+        if day is None:
+            counters = {
+                "alarms_emitted": engine.alarms_emitted,
+                "alarm_duplicates": engine.alarm_duplicates,
+                "moas_active": engine.moas_active,
+                "state_prefixes": engine.state_prefixes,
+                "alarm_totals": engine.alarm_totals(),
+                "daily_counts": sorted(engine.daily_counts.items()),
+            }
+        return lines, capture_state(engine, kind), counters
+
+
+class StreamService:
+    """Walk 1..N feeds on 1..S shards, detect online, checkpoint at day
+    ticks, survive kills."""
+
+    def __init__(
+        self,
+        feed: Union[str, Path, Sequence[Union[str, Path]]],
         alarms: Union[str, Path],
         checkpoint: Optional[Union[str, Path]] = None,
         *,
+        shards: int = 1,
         window: float = 30.0,
-        batch_size: int = 256,
         checkpoint_every: int = 1000,
         full_every: int = DEFAULT_FULL_EVERY,
         follow: bool = False,
@@ -605,29 +629,36 @@ class StreamService(_StreamDriver):
         fault: Optional[FaultHook] = None,
         index: Optional[Union[str, Path]] = None,
     ) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        paths = [feed] if isinstance(feed, (str, Path)) else list(feed)
+        if not paths:
+            raise ValueError("the service needs at least one feed")
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
         if checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
-        self.feed_path = Path(feed)
-        self.engine = StreamEngine(window=window, metrics=metrics)
-        self.batch_size = batch_size
+        if follow and (shards > 1 or len(paths) > 1):
+            raise ValueError("follow mode reads one feed on one shard")
+        self.feed_paths = [Path(path) for path in paths]
+        self.shards = shards
+        self.window = window
         self.checkpoint_every = checkpoint_every
         self.full_every = full_every
         self.follow = follow
         self.poll_interval = poll_interval
         self.throttle = throttle
         self.max_records = max_records
+        self._stop_requested = False
         self._pending: List[str] = []
+        self._records = 0  # records applied before this run (the resume point)
+        self._epoch: Optional[float] = None
         self._clock = clock if clock is not None else _real_clock
         self._sleeper = sleeper if sleeper is not None else _real_sleep
         self._committer = BoundaryCommitter(
             alarms,
             checkpoint,
-            feeds=[self.feed_path],
-            composite=False,
+            feeds=self.feed_paths,
             full_every=full_every,
             clock=self._clock,
             metrics=metrics,
@@ -635,127 +666,245 @@ class StreamService(_StreamDriver):
             index=index,
             async_io=async_io,
         )
+        builder = self._committer.builder
+        # One shard runs here; more run in the workers of a ShardPool.
+        self._shard: Optional[Shard] = None
+        if shards == 1:
+            self._shard = Shard(
+                window,
+                metrics=metrics,
+                observe=None if builder is None else builder.observe,
+            )
+        self._pool: Optional["ShardPool"] = None
+
+    @property
+    def engine(self) -> Optional[StreamEngine]:
+        """The in-process engine of a one-shard service."""
+        return None if self._shard is None else self._shard.engine
+
+    # -- stopping -------------------------------------------------------------
+
+    def request_stop(self) -> None:
+        """Stop at the next day tick (a follow run idle at its feed's end:
+        at once) and commit there."""
+        self._stop_requested = True
+
+    def install_signal_handlers(self) -> None:
+        """SIGTERM/SIGINT -> graceful stop (main thread only)."""
+        signal.signal(signal.SIGTERM, self._on_signal)
+        signal.signal(signal.SIGINT, self._on_signal)
+
+    def _on_signal(self, signum: int, frame: Optional[FrameType]) -> None:
+        self.request_stop()
+
+    def _stopping(self, applied: int) -> bool:
+        return self._stop_requested or (
+            self.max_records is not None and applied >= self.max_records
+        )
 
     # -- the run loop -----------------------------------------------------------
 
     def run(self, resume: bool = False) -> StreamSummary:
         started = self._clock()
         committer = self._committer
-        cursor = FeedCursor(self.feed_path)
+        fleet = FeedFleet(self.feed_paths)
         try:
-            committer.open(partial(self._restore, cursor) if resume else None)
-            builder = committer.builder
-            applied = 0
-            since_checkpoint = 0
-            reached_eof = False
-            while not self._stop_requested:
-                if self.max_records is not None and applied >= self.max_records:
-                    break
-                limit = self.batch_size
-                if self.max_records is not None:
-                    limit = min(limit, self.max_records - applied)
-                batch = self._read_batch(cursor, limit)
-                if not batch:
+            if self._shard is None:
+                from repro.stream.router import ShardPool
+
+                self._pool = ShardPool(self.shards, self.window, committer.builder)
+            committer.open(partial(self._restore, fleet) if resume else None)
+            applied = since_boundary = 0
+            committed = stopped = reached_eof = False
+            walk = iter(fleet)
+            while True:
+                item = next(walk, None)
+                if item is None:  # every feed is at its end
                     if not self.follow:
                         reached_eof = True
                         break
+                    if self._stopping(applied):
+                        stopped = True
+                        break  # idle at the end: commit where it stands
                     self._sleeper(self.poll_interval)
+                    walk = iter(fleet)  # retry from where the cursor stands
                     continue
-                for record in batch:
-                    for alarm in self.engine.apply(record):
-                        self._pending.append(alarm.to_json_line())
-                    if builder is not None:
-                        builder.observe(record)
-                applied += len(batch)
-                since_checkpoint += len(batch)
+                if not isinstance(item, float):
+                    self._apply(fleet, item)
+                    applied += len(item)
+                    since_boundary += len(item)
+                    continue
+                applied += 1  # the day's tick, applied on every shard
+                since_boundary += 1
+                boundary = since_boundary >= self.checkpoint_every
+                kind = committer.next_kind() if boundary else None
+                payloads, _ = self._barrier(item, kind)
+                self._epoch = item
+                if boundary:
+                    self._commit(fleet, kind, payloads, applied)
+                    since_boundary = 0
+                    committed = True
                 if self.throttle > 0.0:
                     self._sleeper(self.throttle)
-                if since_checkpoint >= self.checkpoint_every:
-                    self._commit(cursor)
-                    since_checkpoint = 0
-            # Graceful exit: whatever stopped us, leave the log and
-            # checkpoint agreeing on a resumable record boundary.
-            self._commit(cursor)
+                if self._stopping(applied):
+                    stopped = True
+                    break
+            # The closing barrier gathers the last alarm lines and every
+            # shard's counters; it commits only what no boundary holds yet.
+            closing = since_boundary > 0 or not committed
+            kind = committer.next_kind() if closing else None
+            payloads, counters = self._barrier(None, kind)
+            if closing:
+                self._commit(fleet, kind, payloads, applied)
             committer.close()
             wall = self._clock() - started
+            shard_counters = [c for c in counters if c is not None]
+            totals: Dict[str, int] = {}
+            for shard in shard_counters:
+                for name, count in shard["alarm_totals"].items():
+                    totals[name] = totals.get(name, 0) + count
+            daily = merged_daily_counts(shard_counters)
             return StreamSummary(
                 records=applied,
-                offset=self.engine.offset,
-                alarms_emitted=self.engine.alarms_emitted,
-                alarm_duplicates=self.engine.alarm_duplicates,
+                offset=self._records + applied,
+                alarms_emitted=sum(c["alarms_emitted"] for c in shard_counters),
+                alarm_duplicates=sum(
+                    c["alarm_duplicates"] for c in shard_counters
+                ),
                 alarm_lines=committer.alarm_lines,
                 checkpoints=committer.checkpoints,
                 checkpoint_fulls=committer.fulls,
                 checkpoint_deltas=committer.deltas,
-                moas_active=self.engine.moas_active,
-                state_prefixes=self.engine.state_prefixes,
-                days_ticked=len(self.engine.daily_counts),
-                stopped=self._stop_requested,
+                moas_active=sum(c["moas_active"] for c in shard_counters),
+                state_prefixes=sum(c["state_prefixes"] for c in shard_counters),
+                days_ticked=len(daily),
+                stopped=stopped,
                 eof=reached_eof,
                 wall_seconds=wall,
                 events_per_sec=applied / wall if wall > 0 else 0.0,
                 checkpoint_seconds=committer.seconds,
-                alarm_totals=self.engine.alarm_totals(),
-                daily_series=self.engine.daily_series(),
+                shards=self.shards,
+                alarm_totals=dict(sorted(totals.items())),
+                daily_series=list(daily.values()),
             )
         finally:
             try:
                 committer.close()
             finally:
-                cursor.close()
-
-    def _read_batch(self, cursor: FeedCursor, limit: int) -> List[FeedRecord]:
-        """Up to ``limit`` records, ticks included; fewer only at the
-        feed's end (then none means: poll again, or finish)."""
-        batch: List[FeedRecord] = []
-        append = batch.append
-        while len(batch) < limit:
-            lines, day = cursor.read(limit - len(batch))
-            # Parsed through this module's ``parse_feed_line`` (not
-            # ``parse_record_line``): perfbench's traced run times it here.
-            for line in lines:
                 try:
-                    record = parse_feed_line(line.decode("utf-8"))
-                except ValueError as exc:
-                    raise FeedError(f"{cursor.path}: {exc}") from exc
-                if record is None:
-                    raise FeedError(
-                        f"{cursor.path}: not an announce or withdraw: "
-                        f"{line[:80]!r}"
-                    )
-                append(record)
-            if day is not None:
-                append(FeedRecord(op=OP_TICK, time=day))
-            elif cursor.done:
-                break
-        return batch
+                    if self._pool is not None:
+                        self._pool.close()
+                        self._pool = None
+                finally:
+                    fleet.close()
 
-    def _restore(self, cursor: FeedCursor, checkpoint: Checkpoint) -> None:
-        self.engine.restore_state(checkpoint.engine_state)
-        if checkpoint.offset != self.engine.offset:
-            raise CheckpointError(
-                f"checkpoint offset {checkpoint.offset} disagrees with its "
-                f"engine state offset {self.engine.offset}"
-            )
-        cursor.seek(checkpoint.byte_offset)
+    def _apply(self, fleet: FeedFleet, lines: List[bytes]) -> None:
+        """Apply one read's record lines: here, or routed to the workers
+        (whose errors surface at the next barrier)."""
+        if self._pool is not None:
+            self._pool.route(lines)
+            return
+        assert self._shard is not None and fleet.current is not None
+        try:
+            self._shard.apply_lines(lines)
+        except ValueError as exc:
+            raise FeedError(f"{fleet.current.path}: {exc}") from exc
 
-    def _commit(self, cursor: FeedCursor) -> None:
-        kind = self._committer.next_kind()
+    def _barrier(
+        self, day: Optional[float], kind: Optional[str]
+    ) -> Tuple[List[Optional[Dict[str, Any]]], List[Optional[Dict[str, Any]]]]:
+        """Synchronise every shard (see :meth:`Shard.barrier`): gather the
+        alarm lines in shard-index order — which fixes the merged log's
+        line order — and return the payloads and counters."""
+        if self._pool is None:
+            assert self._shard is not None
+            replies = [self._shard.barrier(day, kind)]
+        else:
+            replies = self._pool.barrier(day, kind)
+        payloads: List[Optional[Dict[str, Any]]] = []
+        counters: List[Optional[Dict[str, Any]]] = []
+        for lines, payload, shard_counters in replies:
+            self._pending.extend(lines)
+            payloads.append(payload)
+            counters.append(shard_counters)
+        return payloads, counters
+
+    def _commit(
+        self,
+        fleet: FeedFleet,
+        kind: Optional[str],
+        payloads: List[Optional[Dict[str, Any]]],
+        applied: int,
+    ) -> None:
+        """Hand one boundary to the committer: the alarm lines and, with
+        ``kind``, the composite chain document of the shard payloads."""
+        offsets = fleet.offsets
+        state: Optional[Dict[str, Any]] = None
+        if kind is not None:
+            state = {"epoch": self._epoch, "feed_offsets": offsets, "shards": payloads}
+            if kind == "full":
+                state.update(shard_count=self.shards, window=self.window)
         pending, self._pending = self._pending, []
         self._committer.commit(
-            pending,
-            kind,
-            capture_state(self.engine, kind),
-            records=self.engine.offset,
-            feed=cursor.position,
+            pending, kind, state, records=self._records + applied, offsets=offsets
         )
 
-    def _manifest_spec(self) -> Dict[str, Any]:
-        return {
+    def _restore(self, fleet: FeedFleet, checkpoint: Checkpoint) -> None:
+        state = checkpoint.engine_state
+        try:
+            shard_count = int(state["shard_count"])
+            offsets = [int(offset) for offset in state["feed_offsets"]]
+            shard_states = list(state["shards"])
+            epoch = state["epoch"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"malformed checkpoint document: {exc!r}"
+            ) from exc
+        if shard_count != self.shards or len(shard_states) != self.shards:
+            raise CheckpointError(
+                f"checkpoint was written by {shard_count} shards, cannot "
+                f"resume with {self.shards}"
+            )
+        if len(offsets) != len(fleet.cursors):
+            raise CheckpointError(
+                f"checkpoint recorded {len(offsets)} feeds, "
+                f"got {len(fleet.cursors)}"
+            )
+        if self._pool is not None:
+            self._pool.restore(shard_states)
+        else:
+            assert self._shard is not None
+            self._shard.engine.restore_state(shard_states[0])
+        for cursor, offset in zip(fleet.cursors, offsets):
+            cursor.seek(offset)
+        self._epoch = epoch
+        self._records = checkpoint.offset
+
+    # -- the run manifest -----------------------------------------------------
+
+    def manifest_record(
+        self,
+        summary: StreamSummary,
+        spec: Optional[Dict[str, Any]] = None,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> ManifestRecord:
+        """The run's single manifest line (timing under quarantined keys)."""
+        base_spec: Dict[str, Any] = {
             "kind": "stream",
-            "feed": str(self.feed_path),
-            "window": self.engine.window,
-            "batch_size": self.batch_size,
+            "feeds": [str(path) for path in self.feed_paths],
+            "shards": self.shards,
+            "window": self.window,
             "checkpoint_every": self.checkpoint_every,
             "full_every": self.full_every,
         }
+        if spec is not None:
+            base_spec.update(spec)
+        return ManifestRecord(
+            index=0,
+            seed=0,
+            spec=base_spec,
+            outcome=summary.to_dict(),
+            metrics={} if metrics is None else dict(metrics.snapshot()),
+            worker="stream",
+            wall_seconds=summary.wall_seconds,
+        )

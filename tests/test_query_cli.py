@@ -68,7 +68,7 @@ class TestQueryCommands:
             "--out", str(offline), "--segment-days", "10",
         ]) == 0
         build_out = capsys.readouterr().out
-        assert "index built" in build_out and "single mode" in build_out
+        assert "index built" in build_out and "1 feed(s)" in build_out
 
         assert main(["query", "dump", str(offline)]) == 0
         dumped_offline = capsys.readouterr().out

@@ -24,7 +24,6 @@ from repro.query.segments import MANIFEST_NAME, load_manifest
 from repro.query.track import QueryError
 from repro.stream.checkpoint import load_chain
 from repro.stream.feed import FeedWriter, snapshot_deltas
-from repro.stream.router import FeedRouter
 from repro.stream.service import FAULT_EXIT_CODE, StreamService
 
 TRACE_CONFIG = TraceConfig(
@@ -260,7 +259,7 @@ class TestResumeSegmentCheck:
             return StreamService(
                 feed, alarms, cp, index=idx, **SERVICE_KWARGS, **extra
             )
-        return FeedRouter(
+        return StreamService(
             [feed], alarms, cp, shards=2, checkpoint_every=120,
             full_every=4, index=idx, **extra,
         )

@@ -1,7 +1,7 @@
 """Integration: live-built indexes vs the brute-force scan oracle.
 
 The load-bearing acceptance property: every query answer served from an
-index — built live by the service, by the sharded router, offline, or
+index — built live by the service on one or two shards, offline, or
 across a kill-and-resume — is **bit-identical** to a brute-force scan of
 the raw feed + alarm log.  ``answers_doc`` bundles every answer (stats,
 daily series, top-K under each key, every prefix report) into one
@@ -24,10 +24,9 @@ from repro.measurement.trace import FaultSpike, TraceConfig, TraceGenerator
 from repro.obs.metrics import MetricsRegistry
 from repro.query import QueryIndex, answers_doc, build_index, canonical_json, scan_state
 from repro.query.builder import IndexBuilder
-from repro.query.segments import load_manifest
+from repro.query.segments import load_manifest, write_manifest
 from repro.stream.checkpoint import load_chain, load_checkpoint
 from repro.stream.feed import FeedWriter, snapshot_deltas
-from repro.stream.router import FeedRouter
 from repro.stream.service import StreamService
 
 TRACE_CONFIG = TraceConfig(
@@ -120,24 +119,49 @@ class TestServiceIndex:
     def test_fresh_run_wipes_stale_index(self, tmp_path, trace_feed):
         alarms = tmp_path / "alarms.log"
         idx = tmp_path / "idx"
-        StreamService(
+        full = StreamService(
             trace_feed, alarms, None, checkpoint_every=300, index=idx
         ).run()
         stale_segments = sorted(p.name for p in idx.glob("seg-*.json"))
         assert stale_segments
         # A fresh short run must not serve leftovers from the longer one.
-        StreamService(
+        short = StreamService(
             trace_feed, alarms, None, checkpoint_every=300,
             max_records=700, index=idx,
         ).run()
+        assert short.offset < full.offset  # stopped at the next day tick
         index = QueryIndex(idx)
-        assert index.records == 700
+        assert index.records == short.offset
         manifest = load_manifest(idx)
         assert manifest is not None
         referenced = {entry["name"] for entry in manifest["segments"]}
         on_disk = {p.name for p in idx.glob("seg-*")}
         assert on_disk == referenced
         assert referenced < set(stale_segments)
+
+    def test_single_feed_coordinate_index_is_rebuilt(self, tmp_path, trace_feed):
+        """An index in the retired single-feed form (mode ``single``, a
+        ``feed_bytes`` end) is foreign: resume rebuilds it from scratch."""
+        alarms = tmp_path / "alarms.log"
+        cp = tmp_path / "cp.json"
+        idx = tmp_path / "idx"
+        interrupted = StreamService(
+            trace_feed, alarms, cp, checkpoint_every=300, max_records=1500,
+            index=idx,
+        ).run()
+        manifest = load_manifest(idx)
+        end = dict(manifest["end"])
+        end["feed_bytes"] = end.pop("feed_offsets")[0]
+        manifest.update(mode="single", end=end)
+        write_manifest(idx, manifest)
+        StreamService(
+            trace_feed, alarms, cp, checkpoint_every=300, index=idx,
+        ).run(resume=True)
+        rebuilt = load_manifest(idx)
+        assert rebuilt["mode"] == "feed_offsets"
+        # One catch-up segment replays everything up to the chain tip.
+        assert rebuilt["segments"][0]["records"] == interrupted.offset
+        assert index_answers(idx) == scan_answers([trace_feed], alarms)
 
     def test_stale_index_ahead_of_chain_is_rebuilt(self, tmp_path, trace_feed):
         alarms = tmp_path / "alarms.log"
@@ -161,7 +185,7 @@ class TestServiceIndex:
 class TestRouterIndex:
     def test_router_index_matches_scan(self, tmp_path, trace_feed):
         alarms = tmp_path / "alarms.log"
-        FeedRouter(
+        StreamService(
             [trace_feed], alarms, tmp_path / "cp.json",
             shards=2, checkpoint_every=400, index=tmp_path / "idx",
         ).run()
@@ -172,11 +196,11 @@ class TestRouterIndex:
     def test_router_interrupt_resume_catches_up(self, tmp_path, trace_feed):
         alarms = tmp_path / "alarms.log"
         cp = tmp_path / "cp.json"
-        FeedRouter(
+        StreamService(
             [trace_feed], alarms, cp, shards=2, checkpoint_every=400,
             max_records=1500, index=tmp_path / "idx",
         ).run()
-        FeedRouter(
+        StreamService(
             [trace_feed], alarms, cp, shards=2, checkpoint_every=400,
             index=tmp_path / "idx",
         ).run(resume=True)
@@ -188,7 +212,7 @@ class TestRouterIndex:
         self, tmp_path, trace_feed
     ):
         alarms = tmp_path / "alarms.log"
-        FeedRouter(
+        StreamService(
             [trace_feed], alarms, shards=2, checkpoint_every=400,
             index=tmp_path / "idx",
         ).run()
@@ -203,7 +227,7 @@ class TestRouterIndex:
         write_trace_feed(feed_a, seed=7)
         write_trace_feed(feed_b, seed=8)
         alarms = tmp_path / "alarms.log"
-        FeedRouter(
+        StreamService(
             [feed_a, feed_b], alarms, tmp_path / "cp.json",
             shards=2, checkpoint_every=500, index=tmp_path / "idx",
         ).run()
@@ -233,14 +257,14 @@ class TestOfflineBuild:
         write_trace_feed(feed_a, seed=7)
         write_trace_feed(feed_b, seed=8)
         alarms = tmp_path / "alarms.log"
-        FeedRouter(
+        StreamService(
             [feed_a, feed_b], alarms, tmp_path / "cp.json",
             shards=2, checkpoint_every=500, index=tmp_path / "live",
         ).run()
         info = build_index(
             [feed_a, feed_b], alarms, tmp_path / "offline", segment_days=7
         )
-        assert info["mode"] == "router"
+        assert info["feeds"] == 2
         assert info["segments"] > 1
         offline = index_answers(tmp_path / "offline")
         assert offline == index_answers(tmp_path / "live")
@@ -297,7 +321,7 @@ class TestSummaryParity:
     def test_router_summary_matches_single_engine(self, tmp_path, trace_feed):
         alarms = tmp_path / "alarms.log"
         single = StreamService(trace_feed, alarms, None).run()
-        routed = FeedRouter(
+        routed = StreamService(
             [trace_feed], tmp_path / "alarms2.log", None, shards=2
         ).run()
         assert routed.alarm_totals == single.alarm_totals
@@ -327,7 +351,7 @@ class TestTipSeededResume:
             return StreamService(
                 feed, alarms, cp, checkpoint_every=300, index=idx, **extra
             )
-        return FeedRouter(
+        return StreamService(
             [feed], alarms, cp, shards=2, checkpoint_every=300, index=idx,
             **extra,
         )
@@ -448,7 +472,7 @@ class TestFullTraceAcceptance:
             sys.executable, "-m", "repro", "stream", "run", str(full_feed),
             "--alarms", str(alarms), "--checkpoint", str(cp),
             "--checkpoint-every", "2000", "--index", str(idx),
-            "--batch", "64", "--throttle", "0.01",
+            "--throttle", "0.01",
         ]
         proc = subprocess.Popen(
             cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,

@@ -16,18 +16,18 @@ from repro.stream.checkpoint import (
 )
 
 
-def make(offset=10, byte_offset=1234, alarm_lines=2, engine_state=None):
+def make(offset=10, alarm_lines=2, alarm_bytes=1234, engine_state=None):
     return Checkpoint(
         offset=offset,
-        byte_offset=byte_offset,
         alarm_lines=alarm_lines,
         engine_state=engine_state if engine_state is not None else {"k": [1, 2]},
+        alarm_bytes=alarm_bytes,
     )
 
 
 class TestCheckpointValue:
     def test_negative_fields_rejected(self):
-        for field in ("offset", "byte_offset", "alarm_lines"):
+        for field in ("offset", "alarm_lines", "alarm_bytes"):
             with pytest.raises(CheckpointError, match=field):
                 make(**{field: -1})
 
@@ -59,8 +59,8 @@ class TestCheckpointValue:
 
     def test_missing_field_rejected(self):
         payload = json.loads(make().to_json())
-        del payload["byte_offset"]
-        with pytest.raises(CheckpointError, match="byte_offset"):
+        del payload["alarm_bytes"]
+        with pytest.raises(CheckpointError, match="alarm_bytes"):
             Checkpoint.from_json(json.dumps(payload))
 
 

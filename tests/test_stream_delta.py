@@ -94,10 +94,11 @@ class TestEngineDeltaAlgebra:
                 assert base == roundtrip(engine.snapshot_state())
         assert saw_eviction  # the window actually evicted state
 
-    def test_refresh_dirties_only_activity(self):
-        """The overhead-critical asymmetry: refresh mode re-announces the
-        whole live table daily, but identical routes must dirty only their
-        activity stamps — never the origin maps or evidence sets."""
+    def test_refresh_dirties_nothing(self):
+        """The overhead-critical case: refresh mode re-announces the whole
+        live table daily, and an identical route must dirty nothing — not
+        the origin map, not the evidence set, and no activity stamp (only
+        eviction reads a stamp, and only a dead prefix's)."""
         engine = StreamEngine()
         announce = FeedRecord(
             op=OP_ANNOUNCE,
@@ -120,12 +121,22 @@ class TestEngineDeltaAlgebra:
         delta = engine.delta_state()
         assert delta["origins"] == []
         assert delta["observed"] == []
-        assert delta["activity"] == [["10.0.0.0/24", 2.0]]
-        # Folding the activity-only delta still reproduces the snapshot.
+        assert delta["activity"] == []
+        # Folding the empty delta still reproduces the snapshot.
         base = roundtrip(self._snapshot_at(announce))
+        assert base["last_activity"] == []  # a live prefix has no stamp
         merged = apply_engine_delta(base, roundtrip(delta))
         assert merged == roundtrip(engine.snapshot_state())
-        assert merged != base  # the stamp really moved
+        # The withdrawal that kills the prefix stamps it.
+        engine.apply(
+            FeedRecord(
+                op=OP_WITHDRAW,
+                time=3.0,
+                prefix=Prefix.parse("10.0.0.0/24"),
+                origin=65001,
+            )
+        )
+        assert engine.delta_state()["activity"] == [["10.0.0.0/24", 3.0]]
 
     @staticmethod
     def _snapshot_at(record):
@@ -210,7 +221,7 @@ class TestEngineDeltaAlgebra:
             apply_state_delta(state, {"shards": [None]})
 
 
-def make_checkpoint(offset, **state):
+def engine_state(offset, **state):
     base = {
         "window": 30.0,
         "offset": offset,
@@ -225,12 +236,40 @@ def make_checkpoint(offset, **state):
         "alarm_counts": [],
     }
     base.update(state)
+    return base
+
+
+def one_shard(engine, offset=0):
+    """A one-shard composite document around ``engine``'s state."""
+    return {
+        "shard_count": 1, "window": 30.0, "epoch": None,
+        "feed_offsets": [offset * 10], "shards": [engine],
+    }
+
+
+def one_shard_delta(engine_delta, offset=0):
+    return {"epoch": None, "feed_offsets": [offset * 10], "shards": [engine_delta]}
+
+
+def make_checkpoint(offset, **state):
     return Checkpoint(
         offset=offset,
-        byte_offset=offset * 10,
         alarm_lines=0,
-        engine_state=base,
+        engine_state=one_shard(engine_state(offset, **state), offset),
         alarm_bytes=0,
+    )
+
+
+def empty_delta(offset):
+    """A composite delta that changes nothing but the counters' offset."""
+    return one_shard_delta(
+        {
+            "window": 30.0, "offset": offset, "moas_active": 0,
+            "alarms_emitted": 0, "alarm_duplicates": 0, "evictions": 0,
+            "days": [], "origins": [], "observed": [], "activity": [],
+            "alarms": [],
+        },
+        offset,
     )
 
 
@@ -242,26 +281,15 @@ class TestChainWriter:
         for offset in (150, 200, 250):
             writer.append_delta(
                 offset=offset,
-                byte_offset=offset * 10,
                 alarm_lines=0,
                 alarm_bytes=0,
-                delta={
-                    "window": 30.0,
-                    "offset": offset,
-                    "moas_active": 0,
-                    "alarms_emitted": 0,
-                    "alarm_duplicates": 0,
-                    "evictions": 0,
-                    "days": [],
-                    "origins": [], "observed": [], "activity": [],
-                    "alarms": [],
-                },
+                delta=empty_delta(offset),
             )
         chain = load_chain(path)
         assert chain.seq == 3
         assert chain.full.offset == 100
         assert chain.checkpoint.offset == 250
-        assert chain.checkpoint.byte_offset == 2500
+        assert chain.checkpoint.index_coordinates()["feed_offsets"] == [2500]
         assert chain.torn_tail_bytes == 0
         assert load_checkpoint(path).offset == 250
 
@@ -269,7 +297,7 @@ class TestChainWriter:
         writer = ChainWriter(tmp_path / "cp.json")
         with pytest.raises(CheckpointError, match="before any full"):
             writer.append_delta(
-                offset=1, byte_offset=1, alarm_lines=0, alarm_bytes=0, delta={}
+                offset=1, alarm_lines=0, alarm_bytes=0, delta={}
             )
 
     def test_compaction_resets_the_delta_file(self, tmp_path):
@@ -277,10 +305,7 @@ class TestChainWriter:
         writer = ChainWriter(path)
         writer.write_full(make_checkpoint(1))
         writer.append_delta(
-            offset=2, byte_offset=20, alarm_lines=0, alarm_bytes=0,
-            delta={"window": 30.0, "offset": 2, "moas_active": 0,
-                   "alarms_emitted": 0, "alarm_duplicates": 0, "evictions": 0,
-                   "days": [], "origins": [], "observed": [], "activity": [], "alarms": []},
+            offset=2, alarm_lines=0, alarm_bytes=0, delta=empty_delta(2)
         )
         writer.write_full(make_checkpoint(3))
         assert delta_path_for(path).read_bytes() == b""
@@ -289,16 +314,10 @@ class TestChainWriter:
         assert chain.checkpoint.offset == 3
 
     def test_committer_compacts_every_full_every_boundaries(self, tmp_path):
-        empty_delta = {
-            "window": 30.0, "moas_active": 0, "alarms_emitted": 0,
-            "alarm_duplicates": 0, "evictions": 0, "days": [], "origins": [],
-            "observed": [], "activity": [], "alarms": [],
-        }
-
         def committer():
             return BoundaryCommitter(
                 tmp_path / "alarms.jsonl", tmp_path / "cp.json",
-                feeds=[tmp_path / "feed.jsonl"], composite=False,
+                feeds=[tmp_path / "feed.jsonl"],
                 full_every=3, clock=lambda: 0.0,
             )
 
@@ -306,9 +325,11 @@ class TestChainWriter:
             kind = target.next_kind()
             state = (
                 make_checkpoint(offset).engine_state if kind == "full"
-                else dict(empty_delta, offset=offset)
+                else empty_delta(offset)
             )
-            target.commit([], kind, state, records=offset, feed=offset * 10)
+            target.commit(
+                [], kind, state, records=offset, offsets=[offset * 10]
+            )
             return kind
 
         first = committer()
@@ -330,10 +351,7 @@ class TestChainWriter:
         writer = ChainWriter(path)
         writer.write_full(make_checkpoint(1))
         writer.append_delta(
-            offset=2, byte_offset=20, alarm_lines=0, alarm_bytes=0,
-            delta={"window": 30.0, "offset": 2, "moas_active": 0,
-                   "alarms_emitted": 0, "alarm_duplicates": 0, "evictions": 0,
-                   "days": [], "origins": [], "observed": [], "activity": [], "alarms": []},
+            offset=2, alarm_lines=0, alarm_bytes=0, delta=empty_delta(2)
         )
         deltas = delta_path_for(path)
         intact = deltas.read_bytes()
@@ -362,10 +380,7 @@ class TestChainWriter:
         writer = ChainWriter(path)
         writer.write_full(make_checkpoint(1))
         writer.append_delta(
-            offset=2, byte_offset=20, alarm_lines=0, alarm_bytes=0,
-            delta={"window": 30.0, "offset": 2, "moas_active": 0,
-                   "alarms_emitted": 0, "alarm_duplicates": 0, "evictions": 0,
-                   "days": [], "origins": [], "observed": [], "activity": [], "alarms": []},
+            offset=2, alarm_lines=0, alarm_bytes=0, delta=empty_delta(2)
         )
         # A full snapshot published without resetting the chain (cannot
         # happen through ChainWriter; simulated corruption).
@@ -381,11 +396,8 @@ class TestChainWriter:
         writer.write_full(make_checkpoint(1))
         for offset in (2, 3):
             writer.append_delta(
-                offset=offset, byte_offset=offset, alarm_lines=0, alarm_bytes=0,
-                delta={"window": 30.0, "offset": offset, "moas_active": 0,
-                       "alarms_emitted": 0, "alarm_duplicates": 0,
-                       "evictions": 0, "days": [], "origins": [], "observed": [], "activity": [],
-                       "alarms": []},
+                offset=offset, alarm_lines=0, alarm_bytes=0,
+                delta=empty_delta(offset),
             )
         deltas = delta_path_for(path)
         lines = deltas.read_bytes().splitlines(keepends=True)
@@ -398,11 +410,7 @@ class TestChainWriter:
         writer = ChainWriter(path)
         writer.write_full(make_checkpoint(100))
         writer.append_delta(
-            offset=50, byte_offset=1, alarm_lines=0, alarm_bytes=0,
-            delta={"window": 30.0, "offset": 50, "moas_active": 0,
-                   "alarms_emitted": 0, "alarm_duplicates": 0,
-                   "evictions": 0, "days": [], "origins": [], "observed": [], "activity": [],
-                   "alarms": []},
+            offset=50, alarm_lines=0, alarm_bytes=0, delta=empty_delta(50)
         )
         with pytest.raises(CheckpointError, match="rewinds offset"):
             load_chain(path)
@@ -415,7 +423,7 @@ class TestChainWriter:
             "offset": 7,
             "byte_offset": 70,
             "alarm_lines": 2,
-            "engine": make_checkpoint(7).engine_state,
+            "engine": engine_state(7),
         }
         path.write_text(json.dumps(document, sort_keys=True))
         with pytest.raises(CheckpointError, match="version 1"):
@@ -481,8 +489,6 @@ def reference_engine_delta(state, delta):
 
 
 def reference_state_delta(state, delta):
-    if "shards" not in state:
-        return reference_engine_delta(state, delta)
     merged = dict(state)
     merged["shards"] = [
         shard if shard_delta is None
@@ -504,7 +510,7 @@ ALARM_KINDS = ("moas-conflict", "origin-not-in-list")
 
 
 def empty_engine_state():
-    return make_checkpoint(0).engine_state
+    return engine_state(0)
 
 
 def random_engine_delta(rng, offset):
@@ -545,20 +551,17 @@ def random_engine_delta(rng, offset):
     return delta
 
 
-def random_chain(rng, composite, length):
-    """A canonical base document and ``length`` deltas for it."""
+def random_chain(rng, shards, length):
+    """A canonical composite document of ``shards`` engine states and
+    ``length`` deltas for it."""
     def engine_base():
         return reference_engine_delta(
             empty_engine_state(), random_engine_delta(rng, 0)
         )
 
-    if not composite:
-        base = engine_base()
-        deltas = [random_engine_delta(rng, i) for i in range(1, length + 1)]
-        return roundtrip(base), [roundtrip(d) for d in deltas]
     base = {
-        "shard_count": 2, "window": 30.0, "epoch": 0.0, "feed_offsets": [0],
-        "shards": [engine_base(), engine_base()],
+        "shard_count": shards, "window": 30.0, "epoch": 0.0,
+        "feed_offsets": [0], "shards": [engine_base() for _ in range(shards)],
     }
     deltas = []
     for i in range(1, length + 1):
@@ -567,7 +570,7 @@ def random_chain(rng, composite, length):
             "feed_offsets": [i * 100],
             "shards": [
                 None if rng.random() < 0.3 else random_engine_delta(rng, i)
-                for _ in range(2)
+                for _ in range(shards)
             ],
         })
     return roundtrip(base), [roundtrip(d) for d in deltas]
@@ -575,14 +578,25 @@ def random_chain(rng, composite, length):
 
 def write_chain(path, base, deltas):
     writer = ChainWriter(path)
-    writer.write_full(Checkpoint(
-        offset=0, byte_offset=0, alarm_lines=0, engine_state=base,
-    ))
+    writer.write_full(Checkpoint(offset=0, alarm_lines=0, engine_state=base))
     for seq, delta in enumerate(deltas, start=1):
         writer.append_delta(
-            offset=seq, byte_offset=seq * 10, alarm_lines=0, alarm_bytes=0,
-            delta=delta,
+            offset=seq, alarm_lines=0, alarm_bytes=0, delta=delta
         )
+
+
+def write_engine_chain(path, base, deltas):
+    """:func:`write_chain` of one engine's states, as a one-shard chain."""
+    write_chain(
+        path,
+        one_shard(base),
+        [one_shard_delta(delta, seq) for seq, delta in enumerate(deltas, 1)],
+    )
+
+
+def replayed_engine(path):
+    """The one shard's engine state at the tip of a one-shard chain."""
+    return load_chain(path).checkpoint.engine_state["shards"][0]
 
 
 def engine_chain(window=2.0, boundaries=16, seed=3):
@@ -616,11 +630,13 @@ def engine_chain(window=2.0, boundaries=16, seed=3):
 
 
 class TestFoldOnceChainReplay:
-    @pytest.mark.parametrize("composite", [False, True])
+    @pytest.mark.parametrize("two_shards", [False, True])
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_chain_equals_iterated_fold(self, tmp_path, seed, composite):
+    def test_random_chain_equals_iterated_fold(self, tmp_path, seed, two_shards):
         rng = random.Random(seed)
-        base, deltas = random_chain(rng, composite, length=rng.randrange(1, 12))
+        base, deltas = random_chain(
+            rng, 2 if two_shards else 1, length=rng.randrange(1, 12)
+        )
         write_chain(tmp_path / "cp.json", base, deltas)
         replayed = load_chain(tmp_path / "cp.json").checkpoint.engine_state
         reference = iterated = base
@@ -635,11 +651,11 @@ class TestFoldOnceChainReplay:
         assert any(d["evictions"] for d in deltas)
         assert any(entry[5] is None for d in deltas for entry in d["alarms"])
         assert any(value is None for d in deltas for _, value in d["origins"])
-        write_chain(tmp_path / "cp.json", base, deltas)
+        write_engine_chain(tmp_path / "cp.json", base, deltas)
         reference = base
         for delta in deltas:
             reference = reference_engine_delta(reference, delta)
-        replayed = load_chain(tmp_path / "cp.json").checkpoint.engine_state
+        replayed = replayed_engine(tmp_path / "cp.json")
         assert replayed == roundtrip(reference) == tip
 
     def test_sort_keys_are_computed_once_per_prefix(self, tmp_path, monkeypatch):
@@ -647,7 +663,7 @@ class TestFoldOnceChainReplay:
 
         base, deltas, tip = engine_chain(window=5.0, boundaries=16)
         assert len(deltas) == 16
-        write_chain(tmp_path / "cp.json", base, deltas)
+        write_engine_chain(tmp_path / "cp.json", base, deltas)
         distinct = {
             name
             for component in ("origins", "observed", "last_activity")
@@ -667,13 +683,13 @@ class TestFoldOnceChainReplay:
             return real(name)
 
         monkeypatch.setattr(delta_module, "_prefix_order", counting)
-        assert load_chain(tmp_path / "cp.json").checkpoint.engine_state == tip
+        assert replayed_engine(tmp_path / "cp.json") == tip
         assert len(calls) <= len(distinct)
 
     def test_bad_prefix_names_its_delta_line(self, tmp_path):
         base, deltas, _ = engine_chain(boundaries=4)
         deltas[1]["activity"].append(["not-a-prefix", 3.0])
-        write_chain(tmp_path / "cp.json", base, deltas)
+        write_engine_chain(tmp_path / "cp.json", base, deltas)
         with pytest.raises(CheckpointError, match="malformed delta line 2"):
             load_chain(tmp_path / "cp.json")
 
@@ -681,7 +697,7 @@ class TestFoldOnceChainReplay:
         base, deltas, _ = engine_chain(boundaries=2)
         entry = ["10.0.0.0/24", "moas-conflict", [64500], None]
         deltas[0]["alarms"] += [entry + [None, 1], entry + ["x", 1]]
-        write_chain(tmp_path / "cp.json", base, deltas)
+        write_engine_chain(tmp_path / "cp.json", base, deltas)
         with pytest.raises(CheckpointError, match="malformed delta"):
             load_chain(tmp_path / "cp.json")
 
@@ -690,8 +706,8 @@ class TestFoldOnceChainReplay:
         deltas chain from the canonical serialisation, not the file bytes."""
         base, deltas, tip = engine_chain(boundaries=4)
         path = tmp_path / "cp.json"
-        write_chain(path, base, deltas)
+        write_engine_chain(path, base, deltas)
         path.write_text(json.dumps(json.loads(path.read_text()), indent=2))
         chain = load_chain(path)
-        assert chain.checkpoint.engine_state == tip
+        assert chain.checkpoint.engine_state["shards"][0] == tip
         assert chain.base_digest == chain.full.digest()

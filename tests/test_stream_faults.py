@@ -3,10 +3,10 @@
 The matrix kills the writer at every durability fault point — before an
 fsync, after an fsync but before the atomic rename, mid-delta-append,
 between the alarm flush and its chain record, and during the resume-time
-log truncation — and proves that both drivers of the one boundary
-committer, the service and a 2-shard router, either replay cleanly to a
-bit-identical alarm log or refuse with :class:`CheckpointError`.  Never a
-silent divergence.
+log truncation — and proves that the service, with its one shard
+in-process and with two worker shards, either replays cleanly to a
+bit-identical alarm log or refuses with :class:`CheckpointError`.  Never
+a silent divergence.
 
 In-process cases drive the synchronous writer (``async_io=False``) with a
 raising hook; subprocess cases use ``REPRO_STREAM_FAULT`` to hard-exit the
@@ -25,7 +25,6 @@ import pytest
 from repro.measurement.trace import FaultSpike, TraceConfig, TraceGenerator
 from repro.stream.checkpoint import CheckpointError, delta_path_for
 from repro.stream.feed import FeedWriter, snapshot_deltas
-from repro.stream.router import FeedRouter
 from repro.stream.service import FAULT_EXIT_CODE, StreamService
 
 TRACE_CONFIG = TraceConfig(
@@ -99,10 +98,9 @@ def over_drivers(matrix):
 
 
 def make_driver(driver, feed, alarms, cp, **extra):
-    """The service, or a 2-shard router over the same one feed."""
-    if driver == "router":
-        return FeedRouter([feed], alarms, cp, **ROUTER_KWARGS, **extra)
-    return StreamService(feed, alarms, cp, **SERVICE_KWARGS, **extra)
+    """The service on one in-process shard, or on two worker shards."""
+    kwargs = ROUTER_KWARGS if driver == "router" else SERVICE_KWARGS
+    return StreamService(feed, alarms, cp, **kwargs, **extra)
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +115,7 @@ def trace_feed(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def expected_logs(trace_feed):
-    """Each driver's uninterrupted log (the router orders lines by day and
+    """Each driver's uninterrupted log (two shards order lines by day and
     shard, so the two differ in order only)."""
     feed, service_log = trace_feed
     routed = feed.with_name("alarms_router_full.jsonl")
@@ -196,9 +194,9 @@ class TestRefusalPaths:
         feed, _ = trace_feed
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
-        # With batch 256 the boundaries fall per batch: nine in-loop (the
-        # ninth a compacting full at 2200) plus a final delta — so the stop
-        # leaves a non-empty delta chain to corrupt.
+        # Boundaries fall at the first day tick after every 120 records;
+        # with a full every fourth, the stop leaves a non-empty delta chain
+        # to corrupt.
         StreamService(feed, alarms, cp, max_records=2200, **SERVICE_KWARGS).run()
         deltas = delta_path_for(cp)
         raw = deltas.read_bytes().splitlines(keepends=True)

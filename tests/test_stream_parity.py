@@ -19,12 +19,18 @@ from repro.stream.engine import StreamEngine
 from repro.stream.feed import snapshot_deltas
 
 
-def stream_daily_counts(config, seed, refresh=False):
+def stream_engine(config, seed, refresh=False, window=None):
     generator = TraceGenerator(config, random.Random(seed))
-    engine = StreamEngine(window=float(config.days) + 1.0)
+    engine = StreamEngine(
+        window=float(config.days) + 1.0 if window is None else window
+    )
     for record in snapshot_deltas(generator.snapshots(), refresh=refresh):
         engine.apply(record)
-    return engine.daily_counts
+    return engine
+
+
+def stream_daily_counts(config, seed, refresh=False):
+    return stream_engine(config, seed, refresh).daily_counts
 
 
 def batch_daily_counts(config, seed):
@@ -58,6 +64,15 @@ class TestSmallTraceParity:
             assert stream_daily_counts(SMALL_FAULTED, seed) == (
                 batch_daily_counts(SMALL_FAULTED, seed)
             ), f"seed {seed}"
+
+    @pytest.mark.parametrize("refresh", [False, True])
+    def test_short_window_evictions_keep_parity(self, refresh):
+        """A two-tick window evicts dead prefixes' evidence all along the
+        trace; eviction must never touch a live prefix (whose activity
+        stamp a refresh re-announcement drops), so counts stay exact."""
+        engine = stream_engine(SMALL_FAULTED, 3, refresh=refresh, window=2.0)
+        assert engine.evictions > 0
+        assert engine.daily_counts == batch_daily_counts(SMALL_FAULTED, 3)
 
     def test_background_prefixes_do_not_perturb_counts(self):
         with_bg = TraceConfig(

@@ -1,10 +1,11 @@
-"""Tests for the sharded feed router.
+"""Tests for the service's sharded path (``StreamService(shards=S)``).
 
 Load-bearing properties: sharded detection agrees with a single engine
 (daily MOAS counts sum across shards, alarms are the same set — the
 prefix partition means no shard can duplicate another's alarms), the
-merged alarm log's line order is deterministic, and kill-and-resume under
-sharding is bit-identical, refusing on shard-count mismatches.
+merged alarm log's line order is deterministic, kill-and-resume under
+sharding is bit-identical, refusing on shard-count mismatches, and one
+shard runs in-process without a worker pool.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import time
 
 import pytest
 
+import repro.procpool
 from repro.cli import main as cli_main
 from repro.measurement.trace import FaultSpike, TraceConfig, TraceGenerator
 from repro.procpool import WorkerError
@@ -27,14 +29,13 @@ from repro.query import answers_doc, canonical_json, scan_state
 from repro.stream.checkpoint import CheckpointError, load_checkpoint
 from repro.stream.engine import StreamEngine
 from repro.stream.feed import FeedError, FeedFleet, FeedWriter, snapshot_deltas
-from repro.stream.router import (
-    FeedRouter,
-    RouterError,
-    merged_daily_counts,
-    route_line,
-    shard_for_prefix,
-)
-from repro.stream.service import StreamService
+from repro.stream.router import route_line, shard_for_prefix
+from repro.stream.service import StreamService, merged_daily_counts
+
+
+def sharded(feeds, alarms, checkpoint=None, *, shards=2, **kwargs):
+    """The service over ``feeds`` on ``shards`` engines (default two)."""
+    return StreamService(feeds, alarms, checkpoint, shards=shards, **kwargs)
 
 TRACE_CONFIG = TraceConfig(
     days=40,
@@ -85,10 +86,28 @@ class TestRouting:
         assert set(first) == {0, 1, 2, 3}  # every shard gets work
 
     def test_invalid_configuration_rejected(self, tmp_path):
-        with pytest.raises(RouterError, match="at least one feed"):
-            FeedRouter([], tmp_path / "a.jsonl")
-        with pytest.raises(RouterError, match="shards"):
-            FeedRouter([tmp_path / "f"], tmp_path / "a.jsonl", shards=0)
+        with pytest.raises(ValueError, match="at least one feed"):
+            sharded([], tmp_path / "a.jsonl")
+        with pytest.raises(ValueError, match="shards"):
+            sharded([tmp_path / "f"], tmp_path / "a.jsonl", shards=0)
+        with pytest.raises(ValueError, match="follow"):
+            sharded([tmp_path / "f"], tmp_path / "a.jsonl", follow=True)
+
+    def test_one_shard_starts_no_worker_pool(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("one shard must not start a WorkerPool")
+
+        monkeypatch.setattr(repro.procpool.WorkerPool, "__init__", refuse)
+        feed = tmp_path / "feed.jsonl"
+        write_trace_feed(feed, config=SMALL_CONFIG)
+        summary = sharded(
+            [feed], tmp_path / "a.jsonl", tmp_path / "cp.json", shards=1,
+            index=tmp_path / "idx",
+        ).run()
+        assert summary.shards == 1
+        assert summary.days_ticked == SMALL_CONFIG.days
+        with pytest.raises(AssertionError, match="WorkerPool"):
+            sharded([feed], tmp_path / "b.jsonl", shards=2).run()
 
 
 class TestShardedParity:
@@ -100,7 +119,7 @@ class TestShardedParity:
             feed, single_alarms, tmp_path / "single_cp.json"
         )
         single_summary = single.run()
-        router = FeedRouter(
+        router = sharded(
             [feed],
             tmp_path / "sharded.jsonl",
             tmp_path / "cp.json",
@@ -134,7 +153,7 @@ class TestShardedParity:
         logs = {}
         for shards in (2, 4):
             alarms = tmp_path / f"alarms_{shards}.jsonl"
-            FeedRouter(
+            sharded(
                 [feed], alarms, tmp_path / f"cp_{shards}.json", shards=shards
             ).run()
             logs[shards] = sorted(alarms.read_text().splitlines())
@@ -171,7 +190,7 @@ class TestShardedParity:
                             a.to_json_line() for a in engine.apply(record)
                         )
             engine.apply(by_day_a[day][-1])  # the day's tick, once
-        router = FeedRouter(
+        router = sharded(
             [feed_a, feed_b],
             tmp_path / "alarms.jsonl",
             tmp_path / "cp.json",
@@ -202,7 +221,7 @@ class TestShardedParity:
         with FeedWriter(feed_b) as writer:
             writer.write_all(records)
         with pytest.raises(FeedError, match="disagree"):
-            FeedRouter(
+            sharded(
                 [feed_a, feed_b], tmp_path / "alarms.jsonl", shards=2
             ).run()
 
@@ -212,7 +231,7 @@ class TestShardFailure:
         feed = tmp_path / "bad.jsonl"
         shard = write_corrupt_feed(feed)
         with pytest.raises(WorkerError) as info:
-            FeedRouter([feed], tmp_path / "alarms.jsonl", shards=2).run()
+            sharded([feed], tmp_path / "alarms.jsonl", shards=2).run()
         assert info.value.index == shard
         assert f"stream-shard {shard} failed" in str(info.value)
         assert "origin must be an integer, got 'x'" in str(info.value)
@@ -245,8 +264,8 @@ SMALL_CONFIG = TraceConfig(
 
 
 class TestFeedBoundary:
-    """The router reads feed lines by the same rule as every other reader:
-    headers are checked, blank lines are skipped."""
+    """The sharded service reads feed lines by the same rule as every other
+    reader: headers are checked, blank lines are skipped."""
 
     def write_bad_version_feed(self, path):
         write_trace_feed(path, config=SMALL_CONFIG)
@@ -260,9 +279,9 @@ class TestFeedBoundary:
         self.write_bad_version_feed(bad)
         write_trace_feed(good, config=SMALL_CONFIG)
         with pytest.raises(FeedError, match="unsupported feed version 99"):
-            FeedRouter([bad], tmp_path / "a1.jsonl", shards=2).run()
+            sharded([bad], tmp_path / "a1.jsonl", shards=2).run()
         with pytest.raises(FeedError, match="unsupported feed version 99"):
-            FeedRouter(
+            sharded(
                 [bad, good], tmp_path / "a2.jsonl", shards=2,
                 index=tmp_path / "idx",
             ).run()
@@ -294,7 +313,7 @@ class TestFeedBoundary:
         runs = {}
         for name, feed in (("clean", clean), ("blank", blank)):
             alarms = tmp_path / f"{name}_alarms.jsonl"
-            summary = FeedRouter([feed], alarms, shards=2).run()
+            summary = sharded([feed], alarms, shards=2).run()
             runs[name] = (summary.records, summary.days_ticked, alarms.read_bytes())
         assert runs["blank"] == runs["clean"]
         assert runs["clean"][1] == SMALL_CONFIG.days
@@ -310,7 +329,7 @@ class TestShardedResume:
         feed = tmp_path / "feed.jsonl"
         write_trace_feed(feed)
         alarms = tmp_path / "alarms_full.jsonl"
-        FeedRouter(
+        sharded(
             [feed], alarms, tmp_path / "cp_full.json", shards=shards,
             checkpoint_every=300,
         ).run()
@@ -320,12 +339,12 @@ class TestShardedResume:
         feed, expected = self._expected(tmp_path)
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
-        interrupted = FeedRouter(
+        interrupted = sharded(
             [feed], alarms, cp, shards=2, checkpoint_every=300,
             max_records=1500,
         ).run()
         assert interrupted.stopped is True
-        resumed = FeedRouter(
+        resumed = sharded(
             [feed], alarms, cp, shards=2, checkpoint_every=300
         ).run(resume=True)
         assert resumed.eof is True
@@ -335,15 +354,15 @@ class TestShardedResume:
         feed, expected = self._expected(tmp_path)
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
-        FeedRouter(
+        sharded(
             [feed], alarms, cp, shards=2, checkpoint_every=300,
             max_records=1000,
         ).run()
-        FeedRouter(
+        sharded(
             [feed], alarms, cp, shards=2, checkpoint_every=300,
             max_records=1000,
         ).run(resume=True)
-        FeedRouter(
+        sharded(
             [feed], alarms, cp, shards=2, checkpoint_every=300
         ).run(resume=True)
         assert alarms.read_bytes() == expected
@@ -352,13 +371,13 @@ class TestShardedResume:
         feed, expected = self._expected(tmp_path)
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
-        FeedRouter(
+        sharded(
             [feed], alarms, cp, shards=2, checkpoint_every=300,
             max_records=1500,
         ).run()
         with alarms.open("a") as handle:
             handle.write('{"orphan": "line"}\n')
-        FeedRouter(
+        sharded(
             [feed], alarms, cp, shards=2, checkpoint_every=300
         ).run(resume=True)
         assert alarms.read_bytes() == expected
@@ -367,48 +386,51 @@ class TestShardedResume:
         feed, _ = self._expected(tmp_path)
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
-        FeedRouter(
+        sharded(
             [feed], alarms, cp, shards=2, max_records=1500
         ).run()
         with pytest.raises(CheckpointError, match="2 shards"):
-            FeedRouter([feed], alarms, cp, shards=3).run(resume=True)
+            sharded([feed], alarms, cp, shards=3).run(resume=True)
 
-    def test_single_engine_checkpoint_refused(self, tmp_path):
-        feed = tmp_path / "feed.jsonl"
-        write_trace_feed(feed)
-        alarms = tmp_path / "alarms.jsonl"
-        cp = tmp_path / "cp.json"
-        StreamService(feed, alarms, cp, max_records=1500).run()
-        with pytest.raises(CheckpointError, match="single-engine"):
-            FeedRouter([feed], alarms, cp, shards=2).run(resume=True)
-
-    def test_router_checkpoint_refused_by_service(self, tmp_path, capsys):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_v2_checkpoint_refused(self, tmp_path, capsys, shards):
+        """Version 2 (single-engine documents with a ``byte_offset``, or
+        composites) is refused by name, through the API and the CLI."""
         feed, _ = self._expected(tmp_path)
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
-        FeedRouter([feed], alarms, cp, shards=2, max_records=1500).run()
+        sharded(
+            [feed], alarms, cp, shards=shards, max_records=1500,
+            async_io=False,
+        ).run()
+        document = json.loads(cp.read_text())
+        document.update(version=2, byte_offset=0)
+        cp.write_text(json.dumps(document, sort_keys=True))
         durable = alarms.read_bytes()
-        with pytest.raises(CheckpointError, match="router composite"):
-            StreamService(feed, alarms, cp).run(resume=True)
+        with pytest.raises(CheckpointError, match="checkpoint version 2"):
+            sharded([feed], alarms, cp, shards=shards).run(resume=True)
         # Refused before anything is rolled back, and the CLI reports it as
-        # a failed run rather than a traceback.
+        # one failed-run line rather than a traceback.
         assert alarms.read_bytes() == durable
         code = cli_main([
             "stream", "run", str(feed), "--alarms", str(alarms),
-            "--checkpoint", str(cp), "--resume",
+            "--checkpoint", str(cp), "--shards", str(shards), "--resume",
         ])
         assert code == 1
-        assert "router composite" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("stream run failed: ")
+        assert "unsupported checkpoint version 2" in err[0]
 
     def test_feed_count_mismatch_refused(self, tmp_path):
         feed, _ = self._expected(tmp_path)
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
-        FeedRouter(
+        sharded(
             [feed], alarms, cp, shards=2, max_records=1500
         ).run()
         with pytest.raises(CheckpointError, match="feeds"):
-            FeedRouter(
+            sharded(
                 [feed, feed], alarms, cp, shards=2
             ).run(resume=True)
 
@@ -418,7 +440,7 @@ class TestChainlessRouter:
         feed = tmp_path / "feed.jsonl"
         write_trace_feed(feed)
         expected = tmp_path / "alarms_full.jsonl"
-        FeedRouter(
+        sharded(
             [feed], expected, tmp_path / "cp.json", shards=2,
             checkpoint_every=300,
         ).run()
@@ -426,7 +448,7 @@ class TestChainlessRouter:
         # The throttle sleep follows every day barrier: record what the log
         # holds at each one, before EOF.
         seen = []
-        summary = FeedRouter(
+        summary = sharded(
             [feed], alarms, shards=2, checkpoint_every=300, throttle=1.0,
             sleeper=lambda seconds: seen.append(alarms.read_bytes()),
         ).run()
@@ -442,7 +464,7 @@ class TestRouterCli:
         feed = tmp_path / "feed.jsonl"
         write_trace_feed(feed)
         expected = tmp_path / "alarms_full.jsonl"
-        FeedRouter(
+        sharded(
             [feed], expected, tmp_path / "cp_full.json", shards=2,
             checkpoint_every=300,
         ).run()

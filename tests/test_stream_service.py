@@ -82,8 +82,8 @@ class TestServiceBasics:
 
     def test_invalid_parameters_rejected(self, tmp_path):
         feed = tmp_path / "feed.jsonl"
-        with pytest.raises(ValueError, match="batch_size"):
-            StreamService(feed, tmp_path / "a.jsonl", batch_size=0)
+        with pytest.raises(ValueError, match="shards"):
+            StreamService(feed, tmp_path / "a.jsonl", shards=0)
         with pytest.raises(ValueError, match="checkpoint_every"):
             StreamService(feed, tmp_path / "a.jsonl", checkpoint_every=0)
 
@@ -177,6 +177,89 @@ class TestResumeBitIdentity:
         assert resumed.moas_active == baseline.engine.moas_active
 
 
+class TestDayCadence:
+    """Boundaries fall at day ticks; a stop waits for the next tick, except
+    a follow run idle at its feed's end, which commits where it stands."""
+
+    FAULT_DAY = 10.0
+
+    def _uninterrupted_log(self, tmp_path):
+        feed = tmp_path / "feed.jsonl"
+        write_trace_feed(feed)
+        alarms = tmp_path / "alarms_full.jsonl"
+        StreamService(feed, alarms).run()
+        return feed, alarms.read_bytes()
+
+    def test_follow_stop_at_mid_day_eof_resumes_bit_identical(self, tmp_path):
+        feed, expected = self._uninterrupted_log(tmp_path)
+        data = feed.read_bytes()
+        # Cut the live feed at a line start inside the fault day, halfway
+        # through the faulty origin's announcements.
+        lines = data.splitlines(keepends=True)
+        faulty = [
+            at for at, line in enumerate(lines)
+            if b'"o":8584' in line and b'"t":10.0' in line
+        ]
+        cut = sum(len(line) for line in lines[: faulty[len(faulty) // 2]])
+        live = tmp_path / "live.jsonl"
+        live.write_bytes(data[:cut])
+        alarms = tmp_path / "alarms.jsonl"
+        cp = tmp_path / "cp.json"
+        service = StreamService(
+            live, alarms, cp, follow=True, poll_interval=0.01,
+            checkpoint_every=100,
+        )
+        service._sleeper = lambda seconds: service.request_stop()
+        summary = service.run()
+        assert summary.stopped is True and summary.eof is False
+        tip = load_checkpoint(cp)
+        assert tip.index_coordinates()["feed_offsets"] == [cut]
+        assert tip.engine_state["epoch"] == self.FAULT_DAY - 1
+        assert 0 < tip.alarm_bytes < len(expected)
+        with live.open("ab") as handle:
+            handle.write(data[cut:])
+        StreamService(live, alarms, cp).run(resume=True)
+        assert alarms.read_bytes() == expected
+
+    def test_sigterm_mid_day_finishes_the_day(self, tmp_path):
+        feed, expected = self._uninterrupted_log(tmp_path)
+        alarms = tmp_path / "alarms.jsonl"
+        cp = tmp_path / "cp.json"
+        service = StreamService(feed, alarms, cp, checkpoint_every=100)
+        engine = service.engine
+        real_apply = engine.apply
+        sent = []
+
+        def apply(record):
+            if record.time == self.FAULT_DAY and not sent:
+                sent.append(record)
+                os.kill(os.getpid(), signal.SIGTERM)
+            return real_apply(record)
+
+        engine.apply = apply
+        handlers = {
+            signum: signal.getsignal(signum)
+            for signum in (signal.SIGTERM, signal.SIGINT)
+        }
+        service.install_signal_handlers()
+        try:
+            summary = service.run()
+        finally:
+            for signum, handler in handlers.items():
+                signal.signal(signum, handler)
+        assert not sent[0].is_tick  # the stop arrived mid-day
+        assert summary.stopped is True
+        tip = load_checkpoint(cp)
+        tick = b'{"op":"T","t":10.0}\n'
+        data = feed.read_bytes()
+        assert tip.engine_state["epoch"] == self.FAULT_DAY
+        assert tip.index_coordinates()["feed_offsets"] == [
+            data.index(tick) + len(tick)
+        ]
+        StreamService(feed, alarms, cp).run(resume=True)
+        assert alarms.read_bytes() == expected
+
+
 class TestFollowAndThrottle:
     def test_follow_mode_waits_then_consumes(self, tmp_path):
         feed = tmp_path / "feed.jsonl"
@@ -231,29 +314,32 @@ class TestFollowAndThrottle:
         assert summary.days_ticked == 1
         assert summary.alarms_emitted == 1  # origin 7 against origin 3
         assert summary.stopped is True
-        assert load_checkpoint(cp_path).byte_offset == feed.stat().st_size
+        assert load_checkpoint(cp_path).index_coordinates()["feed_offsets"] == [
+            feed.stat().st_size
+        ]
         StreamService(feed, tmp_path / "baseline.jsonl").run()
         assert (tmp_path / "alarms.jsonl").read_bytes() == (
             tmp_path / "baseline.jsonl"
         ).read_bytes()
 
-    def test_throttle_sleeps_once_per_batch(self, tmp_path):
+    def test_throttle_sleeps_once_per_day(self, tmp_path):
         feed = tmp_path / "feed.jsonl"
         with FeedWriter(feed) as writer:
-            writer.write_all(
-                FeedRecord(op="T", time=float(t)) for t in range(10)
-            )
+            for day in range(4):
+                writer.write(
+                    FeedRecord(op="A", time=float(day), prefix=P1, origin=7)
+                )
+                writer.write(FeedRecord(op="T", time=float(day)))
         naps = []
         service = StreamService(
             feed,
             tmp_path / "alarms.jsonl",
-            batch_size=3,
             throttle=0.5,
             sleeper=naps.append,
         )
         summary = service.run()
-        assert summary.records == 10
-        assert naps == [0.5, 0.5, 0.5, 0.5]  # ceil(10 / 3) batches
+        assert summary.records == 8
+        assert naps == [0.5, 0.5, 0.5, 0.5]  # one per day tick
 
     def test_injected_clock_times_the_run(self, tmp_path):
         feed = tmp_path / "feed.jsonl"
@@ -371,12 +457,10 @@ class TestSigterm:
             str(alarms),
             "--checkpoint",
             str(cp),
-            "--batch",
-            "16",
             "--checkpoint-every",
             "200",
             "--throttle",
-            "0.02",
+            "0.05",
         ]
         proc = subprocess.Popen(
             cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
@@ -393,7 +477,7 @@ class TestSigterm:
         full_offset = load_checkpoint(tmp_path / "cp_full.json").offset
         assert 0 < interrupted_offset < full_offset
 
-        resume_cmd = cmd[:12] + ["--resume"]  # drop throttle, keep paths
+        resume_cmd = cmd[:10] + ["--resume"]  # drop throttle, keep paths
         done = subprocess.run(
             resume_cmd, env=env, capture_output=True, text=True, timeout=60
         )
