@@ -7,11 +7,11 @@ stopped:
 * ``alarm_lines`` / ``alarm_bytes`` — how many alarm-log lines (and bytes)
   were durably flushed, so resume can roll the log back with one
   ``os.truncate`` instead of a non-atomic rewrite;
-* ``engine`` — the service's composite state: ``shard_count``, ``window``,
-  the last completed day (``epoch``), each vantage feed's byte offset
-  (``feed_offsets``) and one
+* ``engine`` — the service's composite state: ``shard_count``,
+  ``window``, each vantage feed's byte offset (``feed_offsets``) and one
   :meth:`~repro.stream.engine.StreamEngine.snapshot_state` document per
-  shard (``shards``) — at one shard as at many.
+  shard (``shards``) — at one shard as at many.  It holds only what resume
+  reads; ``docs/streaming.md`` names each field's reader.
 
 Durability is a **chain**: the checkpoint path holds the most recent *full*
 snapshot, and a sibling ``<path>.deltas`` file accumulates one JSON line
@@ -54,8 +54,10 @@ from repro.stream.delta import CompositeFold
 
 CHECKPOINT_FORMAT = "repro-stream-checkpoint"
 #: The one version this loader reads.  v1 had no ``alarm_bytes`` or
-#: chains; v2 also allowed a single-engine document with a ``byte_offset``.
-CHECKPOINT_VERSION = 3
+#: chains; v2 also allowed a single-engine document with a ``byte_offset``;
+#: v3 wrote full snapshots in a shape of their own, with fields nothing
+#: read (``epoch``, a per-shard ``window``, ``offset`` and counters).
+CHECKPOINT_VERSION = 4
 
 DELTA_FORMAT = "repro-stream-checkpoint-delta"
 
@@ -316,10 +318,15 @@ def load_chain(path: Union[str, Path]) -> LoadedChain:
     full = Checkpoint.from_json(target.read_text(encoding="utf-8"))
     base_digest = full.digest()
 
+    try:
+        # The snapshot and every delta fold into one unpacked state, which
+        # is sorted and materialised once after the last valid line.
+        fold = CompositeFold(full.engine_state)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"malformed snapshot in {target}: {exc!r}"
+        ) from exc
     delta_file = delta_path_for(target)
-    # Every delta folds into one unpacked copy of the snapshot, which is
-    # sorted and materialised once after the last valid line.
-    fold: Optional[CompositeFold] = None
     offset = full.offset
     alarm_lines = full.alarm_lines
     alarm_bytes = full.alarm_bytes
@@ -366,8 +373,6 @@ def load_chain(path: Union[str, Path]) -> LoadedChain:
                 new_offset = int(record["offset"])
                 new_alarm_lines = int(record["alarm_lines"])
                 new_alarm_bytes = int(record["alarm_bytes"])
-                if fold is None:
-                    fold = CompositeFold(full.engine_state)
                 fold.apply(dict(record["delta"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise CheckpointError(
@@ -383,14 +388,12 @@ def load_chain(path: Union[str, Path]) -> LoadedChain:
             alarm_bytes = new_alarm_bytes
             seq += 1
             valid_bytes = consumed
-    state = full.engine_state
-    if fold is not None:
-        try:
-            state = fold.document()
-        except TypeError as exc:  # alarm entries whose keys cannot be ordered
-            raise CheckpointError(
-                f"malformed delta chain in {delta_file}: {exc}"
-            ) from exc
+    try:
+        state = fold.document()
+    except TypeError as exc:  # alarm entries whose keys cannot be ordered
+        raise CheckpointError(
+            f"malformed delta chain in {delta_file}: {exc}"
+        ) from exc
     tip = Checkpoint(
         offset=offset,
         alarm_lines=alarm_lines,

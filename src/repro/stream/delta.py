@@ -5,21 +5,25 @@ is O(live table): at collector scale serialising it at every checkpoint
 boundary is what cost the service ~60% of its throughput.  An *incremental*
 checkpoint instead records only the keys dirtied since the previous
 boundary — per-prefix origin sets / evidence / activity stamps, alarm-dedup
-counts, ticked days — plus the handful of scalar counters, all in the same
-canonical JSON-safe shape as the full snapshot.
+counts, ticked days — plus the alarm-duplicate count.  There is one
+encoding: a full snapshot is the delta from an empty engine, with every key
+present and no ``None``.
 
 This module owns the pure state algebra, deliberately free of any file
 I/O so it can be property-tested in isolation:
 
-* :class:`CompositeFold` — unpack a full composite document (one engine
-  state per shard plus feed coordinates) into dicts once, one
-  :class:`EngineFold` per shard a delta touches; each ``apply`` folds one
-  delta into them, and ``document`` sorts and materialises the canonical
-  document once, equal to what ``snapshot_state`` would have produced at
-  the last folded boundary.  The chain loader
-  (:func:`repro.stream.checkpoint.load_chain`) folds every delta line of
-  a chain through one fold, so replaying a chain costs O(state + delta
-  bytes) and computes each prefix's sort key once, however long the chain;
+* :class:`EngineFold` — one engine's state, unpacked into dicts.  It
+  starts empty; ``apply`` folds a full snapshot or a delta into it, and
+  ``document`` sorts and materialises the canonical document once, equal
+  to what ``snapshot_state`` would have produced at the last folded
+  boundary;
+* :class:`CompositeFold` — a full composite document (one engine state per
+  shard plus the feed coordinates) folded into one :class:`EngineFold` per
+  shard, then each composite delta on top.  The chain loader
+  (:func:`repro.stream.checkpoint.load_chain`) folds the full snapshot and
+  every delta line of a chain through one fold, so replaying a chain costs
+  O(state + delta bytes) and computes each prefix's sort key once, however
+  long the chain;
 * :func:`apply_engine_delta` / :func:`apply_state_delta` — one-delta calls
   of the same folds, for one engine state and for a composite document.
 
@@ -27,9 +31,9 @@ Delta semantics are **set-to-value**: each dirtied key carries its complete
 current value, with ``None`` meaning "deleted".  Applying a delta is
 therefore idempotent, and replay order is the only thing that matters —
 which is exactly what the chain loader enforces with sequence numbers.
-Every check a delta can fail (a missing scalar, a malformed entry, an
+Every check a document can fail (a missing key, a malformed entry, an
 unparsable prefix, a shard-count mismatch) raises from :meth:`apply`, so
-the loader can name the offending line.
+the loader can name the offending file or line.
 """
 
 from __future__ import annotations
@@ -38,18 +42,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net.addresses import Prefix
 
-#: Scalar counters carried (and overwritten) by every delta.
-ENGINE_SCALARS = (
-    "window",
-    "offset",
-    "moas_active",
-    "alarms_emitted",
-    "alarm_duplicates",
-    "evictions",
-)
-
-#: Composite keys a delta may overwrite besides its shards.
-COMPOSITE_KEYS = ("feed_offsets", "epoch", "feed_ticks")
+#: Composite keys a delta overwrites besides its shards.
+COMPOSITE_KEYS = ("feed_offsets",)
 
 
 def _prefix_order(name: str) -> Tuple[Any, ...]:
@@ -68,29 +62,20 @@ def _alarm_sort_key(entry: List[Any]) -> Tuple[Any, ...]:
 
 
 class EngineFold:
-    """One engine-state document, unpacked into dicts and folded in place."""
+    """One engine's state, unpacked into dicts and folded in place."""
 
-    __slots__ = ("_scalars", "_days", "_origins", "_observed", "_activity",
+    __slots__ = ("_duplicates", "_days", "_origins", "_observed", "_activity",
                  "_alarms", "_order")
 
-    def __init__(self, state: Dict[str, Any]) -> None:
-        self._scalars = {name: state[name] for name in ENGINE_SCALARS}
-        self._days = {
-            int(day): int(count) for day, count in state["daily_counts"]
-        }
-        self._origins = {name: live for name, live in state["origins"]}
-        self._observed = {name: lists for name, lists in state["observed"]}
-        self._activity = {name: last for name, last in state["last_activity"]}
-        self._alarms: Dict[Tuple[Any, ...], List[Any]] = {
-            _alarm_sort_key(entry): entry for entry in state["alarm_counts"]
-        }
+    def __init__(self) -> None:
+        self._duplicates = 0
+        self._days: Dict[int, int] = {}
+        self._origins: Dict[str, Any] = {}
+        self._observed: Dict[str, Any] = {}
+        self._activity: Dict[str, Any] = {}
+        self._alarms: Dict[Tuple[Any, ...], List[Any]] = {}
         # Each prefix's sort key, parsed once for the life of the fold.
-        order: Dict[str, Tuple[Any, ...]] = {}
-        for table in (self._origins, self._observed, self._activity):
-            for name in table:
-                if name not in order:
-                    order[name] = _prefix_order(name)
-        self._order = order
+        self._order: Dict[str, Tuple[Any, ...]] = {}
 
     def _fold_prefixes(
         self, table: Dict[str, Any], entries: List[Any]
@@ -105,22 +90,23 @@ class EngineFold:
             table[name] = value
 
     def apply(self, delta: Dict[str, Any]) -> "EngineFold":
-        """Fold one engine delta (see :meth:`StreamEngine.delta_state`)."""
-        scalars = {name: delta[name] for name in ENGINE_SCALARS}
-        for day, count in delta.get("days", []):
+        """Fold one engine document: a full snapshot or a delta (see
+        :meth:`StreamEngine.delta_state`); every key is required."""
+        duplicates = int(delta["alarm_duplicates"])
+        for day, count in delta["days"]:
             self._days[int(day)] = int(count)
         # The three per-prefix components are dirtied (and shipped)
         # independently — see StreamEngine.delta_state.
-        self._fold_prefixes(self._origins, delta.get("origins", []))
-        self._fold_prefixes(self._observed, delta.get("observed", []))
-        self._fold_prefixes(self._activity, delta.get("activity", []))
-        for entry in delta.get("alarms", []):
+        self._fold_prefixes(self._origins, delta["origins"])
+        self._fold_prefixes(self._observed, delta["observed"])
+        self._fold_prefixes(self._activity, delta["activity"])
+        for entry in delta["alarms"]:
             key = _alarm_sort_key(entry)
             if entry[5] is None:
                 self._alarms.pop(key, None)
             else:
                 self._alarms[key] = entry
-        self._scalars = scalars
+        self._duplicates = duplicates
         return self
 
     def _sorted_pairs(self, table: Dict[str, Any]) -> List[List[Any]]:
@@ -132,31 +118,32 @@ class EngineFold:
 
     def document(self) -> Dict[str, Any]:
         """The canonical document, sorted exactly as ``snapshot_state``."""
-        merged: Dict[str, Any] = dict(self._scalars)
         days = self._days
-        merged["daily_counts"] = [[day, days[day]] for day in sorted(days)]
-        merged["origins"] = self._sorted_pairs(self._origins)
-        merged["observed"] = self._sorted_pairs(self._observed)
-        merged["last_activity"] = self._sorted_pairs(self._activity)
-        merged["alarm_counts"] = [
-            self._alarms[key] for key in sorted(self._alarms)
-        ]
-        return merged
+        return {
+            "alarm_duplicates": self._duplicates,
+            "days": [[day, days[day]] for day in sorted(days)],
+            "origins": self._sorted_pairs(self._origins),
+            "observed": self._sorted_pairs(self._observed),
+            "activity": self._sorted_pairs(self._activity),
+            "alarms": [self._alarms[key] for key in sorted(self._alarms)],
+        }
 
 
 class CompositeFold:
     """A composite checkpoint document: one :class:`EngineFold` per shard.
 
-    A shard no delta has touched yet keeps its document object as given,
-    unfolded and unsorted.
+    Every shard's full snapshot is folded at construction, which is what
+    checks it.  A shard no delta has touched since keeps its document
+    object as given: it is already canonical, and is not sorted again.
     """
 
-    __slots__ = ("_doc", "_states", "_folds")
+    __slots__ = ("_doc", "_states", "_folds", "_touched")
 
     def __init__(self, state: Dict[str, Any]) -> None:
         self._doc = dict(state)
         self._states: List[Dict[str, Any]] = list(state["shards"])
-        self._folds: List[Optional[EngineFold]] = [None] * len(self._states)
+        self._folds = [EngineFold().apply(shard) for shard in self._states]
+        self._touched = [False] * len(self._states)
 
     def apply(self, delta: Dict[str, Any]) -> "CompositeFold":
         """Fold one composite delta: one engine delta (or ``None``) per
@@ -168,12 +155,9 @@ class CompositeFold:
                 f"{len(self._states)}"
             )
         for index, shard_delta in enumerate(shard_deltas):
-            if shard_delta is None:
-                continue
-            fold = self._folds[index]
-            if fold is None:
-                fold = self._folds[index] = EngineFold(self._states[index])
-            fold.apply(shard_delta)
+            if shard_delta is not None:
+                self._folds[index].apply(shard_delta)
+                self._touched[index] = True
         for key in COMPOSITE_KEYS:
             if key in delta:
                 self._doc[key] = delta[key]
@@ -182,8 +166,10 @@ class CompositeFold:
     def document(self) -> Dict[str, Any]:
         merged = dict(self._doc)
         merged["shards"] = [
-            state if fold is None else fold.document()
-            for state, fold in zip(self._states, self._folds)
+            fold.document() if touched else state
+            for state, fold, touched in zip(
+                self._states, self._folds, self._touched
+            )
         ]
         return merged
 
@@ -193,12 +179,12 @@ def apply_engine_delta(
 ) -> Dict[str, Any]:
     """Fold one engine delta into a full engine-state document.
 
-    Both inputs are canonical JSON-safe structures; the result is again
-    canonical (sorted exactly as ``snapshot_state`` sorts), so chains of
-    deltas replay to bit-identical documents regardless of where the full
-    snapshot fell.
+    Both inputs are canonical JSON-safe structures in the one encoding;
+    the result is again canonical (sorted exactly as ``snapshot_state``
+    sorts), so chains of deltas replay to bit-identical documents
+    regardless of where the full snapshot fell.
     """
-    return EngineFold(state).apply(delta).document()
+    return EngineFold().apply(state).apply(delta).document()
 
 
 def apply_state_delta(

@@ -21,14 +21,15 @@ line and a counter.
 All engine state round-trips through :meth:`snapshot_state` /
 :meth:`restore_state` as canonical JSON-safe structures (sorted lists of
 pairs, never raw dicts), which is what makes checkpoint/resume produce
-bit-identical alarm logs.
+bit-identical alarm logs.  A snapshot and a delta are one encoding: the
+snapshot is the delta from an empty engine.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.detection import DEFAULT_EVIDENCE_WINDOW, MoasDetector
 from repro.core.moas_list import MoasList
@@ -77,9 +78,19 @@ class StreamEngine:
     # dirty sets are since-last-checkpoint bookkeeping for delta encoding:
     # a restored engine starts clean by definition (the chain on disk
     # already covers everything up to the restore point), so they are
-    # deliberately not part of the snapshot.
+    # deliberately not part of the snapshot.  ``window`` is configuration:
+    # the composite checkpoint document carries the run's one copy, and the
+    # service refuses a resume with another.  ``_moas_active`` is derived
+    # from the origins, and restore_state recounts it.  ``alarms_emitted``
+    # and ``evictions`` count this process's work only: the run's emitted
+    # alarms are the chain's ``alarm_lines``, and nothing reads a
+    # run-long eviction count.
     _SNAPSHOT_WAIVED = frozenset(
         {
+            "window",
+            "_moas_active",
+            "alarms_emitted",
+            "evictions",
             "_m_updates",
             "_m_announces",
             "_m_withdrawals",
@@ -126,7 +137,6 @@ class StreamEngine:
         # transitions so a tick is O(1) for the count itself.
         self._moas_active = 0
         self.daily_counts: Dict[int, int] = {}
-        self.offset = 0
         self.alarms_emitted = 0
         self.alarm_duplicates = 0
         self.evictions = 0
@@ -180,7 +190,6 @@ class StreamEngine:
 
     def apply(self, record: FeedRecord) -> List[StreamAlarm]:
         """Apply one feed record; returns newly emitted (first-seen) alarms."""
-        self.offset += 1
         if self._m_updates is not None:
             self._m_updates.inc()
         if record.op == OP_ANNOUNCE:
@@ -320,64 +329,20 @@ class StreamEngine:
     # -- checkpointable state ------------------------------------------------
 
     def snapshot_state(self) -> Dict[str, Any]:
-        """Canonical JSON-safe engine state (sorted lists of pairs)."""
-        origins = [
-            [
-                str(prefix),
-                [
-                    [origin, sorted(live[origin].origins)]
-                    for origin in sorted(live)
-                ],
-            ]
-            for prefix, live in sorted(
-                self._origins.items(), key=lambda item: item[0].sort_key
-            )
-        ]
-        observed = [
-            [str(prefix), sorted(sorted(m.origins) for m in lists)]
-            for prefix, lists in sorted(
-                self._detector.observed.items(), key=lambda item: item[0].sort_key
-            )
-        ]
-        activity = [
-            [str(prefix), last]
-            for prefix, last in sorted(
-                self._last_activity.items(), key=lambda item: item[0].sort_key
-            )
-        ]
-        alarm_counts = [
-            [
-                key[0],
-                key[1],
-                list(key[2]),
-                None if key[3] is None else list(key[3]),
-                key[4],
-                count,
-            ]
-            for key, count in sorted(
-                self._alarm_counts.items(),
-                key=lambda item: (
-                    item[0][0],
-                    item[0][1],
-                    item[0][2],
-                    item[0][3] or (),
-                    item[0][4] or -1,
-                ),
-            )
-        ]
-        return {
-            "window": self.window,
-            "offset": self.offset,
-            "moas_active": self._moas_active,
-            "alarms_emitted": self.alarms_emitted,
-            "alarm_duplicates": self.alarm_duplicates,
-            "evictions": self.evictions,
-            "daily_counts": [[day, self.daily_counts[day]] for day in sorted(self.daily_counts)],
-            "origins": origins,
-            "observed": observed,
-            "last_activity": activity,
-            "alarm_counts": alarm_counts,
-        }
+        """The whole engine state: its delta from an empty engine.
+
+        The same document as :meth:`delta_state`, with every key present
+        and so no ``None`` entry; folding it into an empty
+        :class:`~repro.stream.delta.EngineFold` gives it back unchanged.
+        """
+        return self._encode(
+            self.alarm_duplicates,
+            self.daily_counts,
+            self._origins,
+            self._detector.observed,
+            self._last_activity,
+            self._alarm_counts,
+        )
 
     def delta_state(self) -> Dict[str, Any]:
         """Canonical delta: only keys dirtied since :meth:`mark_clean`.
@@ -392,67 +357,59 @@ class StreamEngine:
         daily, yet its identical routes leave all three untouched — that is
         what keeps incremental checkpoints cheap at exactly the workload
         where full snapshots are dearest.
-        Scalar counters are always included (they are a handful of ints).
         Does not clear the dirty sets; pair with :meth:`mark_clean` once
         the payload is handed to the writer.
         """
-        origins = []
-        for prefix in sorted(self._dirty_origins, key=lambda p: p.sort_key):
-            live = self._origins.get(prefix)
-            origins.append(
-                [
-                    str(prefix),
-                    None
-                    if live is None
-                    else [
-                        [origin, sorted(live[origin].origins)]
-                        for origin in sorted(live)
-                    ],
-                ]
-            )
-        observed = []
-        for prefix in sorted(self._dirty_observed, key=lambda p: p.sort_key):
-            lists = self._detector.observed.get(prefix)
-            observed.append(
-                [
-                    str(prefix),
-                    None if lists is None else sorted(
-                        sorted(m.origins) for m in lists
-                    ),
-                ]
-            )
-        activity = [
-            [str(prefix), self._last_activity.get(prefix)]
-            for prefix in sorted(self._dirty_activity, key=lambda p: p.sort_key)
-        ]
-        alarms = [
-            [
-                key[0],
-                key[1],
-                list(key[2]),
-                None if key[3] is None else list(key[3]),
-                key[4],
-                self._alarm_counts.get(key),
-            ]
-            for key in sorted(
-                self._dirty_alarms,
-                key=lambda k: (k[0], k[1], k[2], k[3] or (), k[4] or -1),
-            )
-        ]
+        return self._encode(
+            self.alarm_duplicates,
+            self._dirty_days,
+            self._dirty_origins,
+            self._dirty_observed,
+            self._dirty_activity,
+            self._dirty_alarms,
+        )
+
+    def _encode(
+        self,
+        duplicates: int,
+        days: Iterable[int],
+        origins: Iterable[Prefix],
+        observed: Iterable[Prefix],
+        activity: Iterable[Prefix],
+        alarms: Iterable[AlarmKey],
+    ) -> Dict[str, Any]:
+        """The one engine-state encoding, over the given keys: each one
+        carries its current value (``None``: gone), as sorted lists."""
+        live = self._origins
+        evidence = self._detector.observed
+        stamps = self._last_activity
+        counts = self._alarm_counts
         return {
-            "window": self.window,
-            "offset": self.offset,
-            "moas_active": self._moas_active,
-            "alarms_emitted": self.alarms_emitted,
-            "alarm_duplicates": self.alarm_duplicates,
-            "evictions": self.evictions,
-            "days": [
-                [day, self.daily_counts[day]] for day in sorted(self._dirty_days)
+            "alarm_duplicates": duplicates,
+            "days": [[day, self.daily_counts[day]] for day in sorted(days)],
+            "origins": [
+                [str(prefix), _origin_pairs(live.get(prefix))]
+                for prefix in sorted(origins, key=_prefix_order)
             ],
-            "origins": origins,
-            "observed": observed,
-            "activity": activity,
-            "alarms": alarms,
+            "observed": [
+                [str(prefix), _evidence_lists(evidence.get(prefix))]
+                for prefix in sorted(observed, key=_prefix_order)
+            ],
+            "activity": [
+                [str(prefix), stamps.get(prefix)]
+                for prefix in sorted(activity, key=_prefix_order)
+            ],
+            "alarms": [
+                [
+                    key[0],
+                    key[1],
+                    list(key[2]),
+                    None if key[3] is None else list(key[3]),
+                    key[4],
+                    counts.get(key),
+                ]
+                for key in sorted(alarms, key=_alarm_order)
+            ],
         }
 
     def mark_clean(self) -> None:
@@ -464,27 +421,22 @@ class StreamEngine:
         self._dirty_days.clear()
 
     def restore_state(self, state: Dict[str, Any]) -> None:
-        """Rebuild engine state from a :meth:`snapshot_state` structure."""
-        self.window = float(state["window"])
-        self.offset = int(state["offset"])
-        self._moas_active = int(state["moas_active"])
-        self.alarms_emitted = int(state["alarms_emitted"])
+        """Rebuild engine state from a :meth:`snapshot_state` document."""
         self.alarm_duplicates = int(state["alarm_duplicates"])
-        self.evictions = int(state["evictions"])
-        self.daily_counts = {int(day): int(count) for day, count in state["daily_counts"]}
+        self.daily_counts = {int(day): int(count) for day, count in state["days"]}
         self._origins = {
             Prefix.parse(prefix): {
                 int(origin): MoasList(members) for origin, members in live
             }
             for prefix, live in state["origins"]
         }
+        self._moas_active = sum(1 for live in self._origins.values() if len(live) > 1)
         self._detector.observed = {
             Prefix.parse(prefix): {MoasList(members) for members in lists}
             for prefix, lists in state["observed"]
         }
         self._last_activity = {
-            Prefix.parse(prefix): float(last)
-            for prefix, last in state["last_activity"]
+            Prefix.parse(prefix): float(last) for prefix, last in state["activity"]
         }
         # A restored engine is clean: the chain on disk already covers
         # everything up to this state.
@@ -494,7 +446,7 @@ class StreamEngine:
         self._dirty_alarms = set()
         self._dirty_days = set()
         self._alarm_counts = {}
-        for raw in state["alarm_counts"]:
+        for raw in state["alarms"]:
             prefix_str, kind, observed, conflicting, origin, count = raw
             key: AlarmKey = (
                 str(prefix_str),
@@ -504,3 +456,21 @@ class StreamEngine:
                 None if origin is None else int(origin),
             )
             self._alarm_counts[key] = int(count)
+
+
+def _prefix_order(prefix: Prefix) -> Tuple[Any, ...]:
+    return prefix.sort_key
+
+
+def _alarm_order(key: AlarmKey) -> Tuple[Any, ...]:
+    return (key[0], key[1], key[2], key[3] or (), key[4] or -1)
+
+
+def _origin_pairs(live: Optional[Dict[ASN, MoasList]]) -> Optional[List[Any]]:
+    if live is None:
+        return None
+    return [[origin, sorted(live[origin].origins)] for origin in sorted(live)]
+
+
+def _evidence_lists(lists: Optional[Set[MoasList]]) -> Optional[List[Any]]:
+    return None if lists is None else sorted(sorted(m.origins) for m in lists)

@@ -306,14 +306,12 @@ class FeedCursor:
         self._handle.seek(offset)
         self.position = offset
 
-    def read(
-        self, limit: Optional[int] = None
-    ) -> Tuple[List[bytes], Optional[float]]:
+    def read(self) -> Tuple[List[bytes], Optional[float]]:
         """Record lines up to the next tick, and that tick's day.
 
-        The day is ``None`` when the read stopped first: after ``limit``
-        lines (default ``_BATCH``), or at the feed's end (then :attr:`done`
-        is set until the next read).
+        The day is ``None`` when the read stopped first: after ``_BATCH``
+        lines, or at the feed's end (then :attr:`done` is set until the
+        next read).
         """
         lines: List[bytes] = []
         append = lines.append
@@ -322,7 +320,7 @@ class FeedCursor:
         position = self.position
         self.done = False
         try:
-            for _ in range(_BATCH if limit is None else limit):
+            for _ in range(_BATCH):
                 if position >= end:
                     self.done = True
                     break

@@ -529,10 +529,10 @@ class BoundaryCommitter:
 
 
 def merged_daily_counts(shard_states: Sequence[Dict[str, Any]]) -> Dict[int, int]:
-    """Global per-day MOAS counts: the sum of the shards' ``daily_counts``."""
+    """Global per-day MOAS counts: the sum of the shards' ``days``."""
     totals: Dict[int, int] = {}
     for state in shard_states:
-        for day, count in state["daily_counts"]:
+        for day, count in state["days"]:
             totals[int(day)] = totals.get(int(day), 0) + int(count)
     return dict(sorted(totals.items()))
 
@@ -594,12 +594,11 @@ class Shard:
         counters: Optional[Dict[str, Any]] = None
         if day is None:
             counters = {
-                "alarms_emitted": engine.alarms_emitted,
                 "alarm_duplicates": engine.alarm_duplicates,
                 "moas_active": engine.moas_active,
                 "state_prefixes": engine.state_prefixes,
                 "alarm_totals": engine.alarm_totals(),
-                "daily_counts": sorted(engine.daily_counts.items()),
+                "days": sorted(engine.daily_counts.items()),
             }
         return lines, capture_state(engine, kind), counters
 
@@ -652,7 +651,6 @@ class StreamService:
         self._stop_requested = False
         self._pending: List[str] = []
         self._records = 0  # records applied before this run (the resume point)
-        self._epoch: Optional[float] = None
         self._clock = clock if clock is not None else _real_clock
         self._sleeper = sleeper if sleeper is not None else _real_sleep
         self._committer = BoundaryCommitter(
@@ -739,7 +737,6 @@ class StreamService:
                 boundary = since_boundary >= self.checkpoint_every
                 kind = committer.next_kind() if boundary else None
                 payloads, _ = self._barrier(item, kind)
-                self._epoch = item
                 if boundary:
                     self._commit(fleet, kind, payloads, applied)
                     since_boundary = 0
@@ -767,7 +764,9 @@ class StreamService:
             return StreamSummary(
                 records=applied,
                 offset=self._records + applied,
-                alarms_emitted=sum(c["alarms_emitted"] for c in shard_counters),
+                # Every first-seen alarm is one log line, at any shard
+                # count and across resumes.
+                alarms_emitted=committer.alarm_lines,
                 alarm_duplicates=sum(
                     c["alarm_duplicates"] for c in shard_counters
                 ),
@@ -841,7 +840,7 @@ class StreamService:
         offsets = fleet.offsets
         state: Optional[Dict[str, Any]] = None
         if kind is not None:
-            state = {"epoch": self._epoch, "feed_offsets": offsets, "shards": payloads}
+            state = {"feed_offsets": offsets, "shards": payloads}
             if kind == "full":
                 state.update(shard_count=self.shards, window=self.window)
         pending, self._pending = self._pending, []
@@ -853,9 +852,9 @@ class StreamService:
         state = checkpoint.engine_state
         try:
             shard_count = int(state["shard_count"])
+            window = float(state["window"])
             offsets = [int(offset) for offset in state["feed_offsets"]]
             shard_states = list(state["shards"])
-            epoch = state["epoch"]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"malformed checkpoint document: {exc!r}"
@@ -864,6 +863,11 @@ class StreamService:
             raise CheckpointError(
                 f"checkpoint was written by {shard_count} shards, cannot "
                 f"resume with {self.shards}"
+            )
+        if window != self.window:
+            raise CheckpointError(
+                f"checkpoint was written with window {window}, cannot "
+                f"resume with {self.window}"
             )
         if len(offsets) != len(fleet.cursors):
             raise CheckpointError(
@@ -877,7 +881,6 @@ class StreamService:
             self._shard.engine.restore_state(shard_states[0])
         for cursor, offset in zip(fleet.cursors, offsets):
             cursor.seek(offset)
-        self._epoch = epoch
         self._records = checkpoint.offset
 
     # -- the run manifest -----------------------------------------------------

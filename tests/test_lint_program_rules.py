@@ -151,14 +151,14 @@ class TestR101Snapshot:
 
     def test_deleting_a_restore_line_fails(self):
         source = (SRC_ROOT / "stream" / "engine.py").read_text(encoding="utf-8")
-        line = '        self.window = float(state["window"])\n'
+        line = '        self.alarm_duplicates = int(state["alarm_duplicates"])\n'
         assert line in source
         broken = source.replace(line, "")
         violations = only(
             lint_source(broken, str(SRC_ROOT / "stream" / "engine.py")), "R101"
         )
         assert any(
-            "'window'" in v.message and "not restored" in v.message
+            "'alarm_duplicates'" in v.message and "not restored" in v.message
             for v in violations
         ), [v.message for v in violations]
 

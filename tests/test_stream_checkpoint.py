@@ -14,13 +14,23 @@ from repro.stream.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.stream.engine import StreamEngine
+
+
+#: A one-shard composite document around an empty engine.
+EMPTY_STATE = {
+    "shard_count": 1,
+    "window": 30.0,
+    "feed_offsets": [0],
+    "shards": [StreamEngine().snapshot_state()],
+}
 
 
 def make(offset=10, alarm_lines=2, alarm_bytes=1234, engine_state=None):
     return Checkpoint(
         offset=offset,
         alarm_lines=alarm_lines,
-        engine_state=engine_state if engine_state is not None else {"k": [1, 2]},
+        engine_state=engine_state if engine_state is not None else EMPTY_STATE,
         alarm_bytes=alarm_bytes,
     )
 

@@ -13,6 +13,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.measurement.trace import FaultSpike, TraceConfig, TraceGenerator
 from repro.stream.checkpoint import (
@@ -26,7 +28,7 @@ from repro.stream.checkpoint import (
     save_checkpoint,
 )
 from repro.net.addresses import Prefix
-from repro.stream.delta import apply_engine_delta, apply_state_delta
+from repro.stream.delta import EngineFold, apply_engine_delta, apply_state_delta
 from repro.stream.engine import StreamEngine
 from repro.stream.feed import (
     OP_ANNOUNCE,
@@ -53,6 +55,78 @@ def trace_records(seed=3, config=TRACE_CONFIG):
 def roundtrip(document):
     """Checkpoint documents live as canonical JSON; compare post-roundtrip."""
     return json.loads(json.dumps(document, sort_keys=True))
+
+
+PROPERTY_PREFIXES = [
+    Prefix.parse(name)
+    for name in ("10.0.0.0/24", "10.0.1.0/24", "10.0.0.0/16", "192.0.2.0/24")
+]
+PROPERTY_ORIGINS = (64500, 64501)
+
+#: Random engine runs: announces (with a MOAS list that may leave the
+#: origin out), withdrawals, day ticks and checkpoint boundaries.
+engine_runs = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("A"),
+            st.sampled_from(PROPERTY_PREFIXES),
+            st.sampled_from(PROPERTY_ORIGINS),
+            st.sets(st.sampled_from(PROPERTY_ORIGINS + (64502,)), max_size=3),
+        ),
+        st.tuples(
+            st.just("W"),
+            st.sampled_from(PROPERTY_PREFIXES),
+            st.sampled_from(PROPERTY_ORIGINS),
+        ),
+        st.just(("T",)),
+        st.just(("B",)),
+    ),
+    min_size=20,
+    max_size=120,
+)
+
+
+class TestOneEncoding:
+    @settings(max_examples=80, deadline=None)
+    @given(run=engine_runs, window=st.sampled_from([1.0, 2.0, 30.0]))
+    def test_empty_snapshot_plus_deltas_is_the_snapshot(self, run, window):
+        """At every boundary, the full snapshot of a fresh engine folded
+        with every delta since equals ``snapshot_state()``; a short window
+        makes evictions (deletions in every table) common."""
+        engine = StreamEngine(window=window)
+        fold = EngineFold().apply(roundtrip(StreamEngine().snapshot_state()))
+        day = 0
+        for op in run + [("B",)]:
+            if op[0] == "A":
+                engine.apply(FeedRecord(
+                    op=OP_ANNOUNCE, time=day + 0.5, prefix=op[1],
+                    origin=op[2], moas=tuple(sorted(op[3])) or None,
+                ))
+            elif op[0] == "W":
+                engine.apply(FeedRecord(
+                    op=OP_WITHDRAW, time=day + 0.5, prefix=op[1], origin=op[2]
+                ))
+            elif op[0] == "T":
+                day += 1
+                engine.apply(FeedRecord(op=OP_TICK, time=float(day)))
+            else:
+                snapshot = roundtrip(engine.snapshot_state())
+                fold.apply(roundtrip(engine.delta_state()))
+                engine.mark_clean()
+                assert fold.document() == snapshot
+                assert EngineFold().apply(snapshot).document() == snapshot
+                assert not any(
+                    value is None
+                    for table in ("origins", "observed", "activity")
+                    for _, value in snapshot[table]
+                )
+
+    def test_fold_refuses_a_snapshot_missing_a_table(self):
+        snapshot = StreamEngine().snapshot_state()
+        for key in snapshot:
+            partial = {k: v for k, v in snapshot.items() if k != key}
+            with pytest.raises(KeyError, match=key):
+                EngineFold().apply(partial)
 
 
 class TestEngineDeltaAlgebra:
@@ -124,7 +198,7 @@ class TestEngineDeltaAlgebra:
         assert delta["activity"] == []
         # Folding the empty delta still reproduces the snapshot.
         base = roundtrip(self._snapshot_at(announce))
-        assert base["last_activity"] == []  # a live prefix has no stamp
+        assert base["activity"] == []  # a live prefix has no stamp
         merged = apply_engine_delta(base, roundtrip(delta))
         assert merged == roundtrip(engine.snapshot_state())
         # The withdrawal that kills the prefix stamps it.
@@ -170,70 +244,40 @@ class TestEngineDeltaAlgebra:
         state = {
             "shard_count": 2,
             "window": 30.0,
-            "epoch": 3.0,
             "feed_offsets": [100],
-            "shards": [
-                {
-                    "window": 30.0,
-                    "offset": 5,
-                    "moas_active": 0,
-                    "alarms_emitted": 0,
-                    "alarm_duplicates": 0,
-                    "evictions": 0,
-                    "daily_counts": [[0, 0]],
-                    "origins": [],
-                    "observed": [],
-                    "last_activity": [],
-                    "alarm_counts": [],
-                },
-            ]
-            * 2,
+            "shards": [engine_state(days=[[0, 0]])] * 2,
         }
         delta = {
-            "epoch": 4.0,
             "feed_offsets": [150],
             "shards": [
                 None,
-                {
-                    "window": 30.0,
-                    "offset": 9,
-                    "moas_active": 1,
-                    "alarms_emitted": 0,
-                    "alarm_duplicates": 0,
-                    "evictions": 0,
-                    "days": [[1, 1]],
-                    "origins": [], "observed": [], "activity": [],
-                    "alarms": [],
-                },
+                engine_state(alarm_duplicates=2, days=[[1, 1]]),
             ],
         }
         merged = apply_state_delta(state, delta)
-        assert merged["epoch"] == 4.0
         assert merged["feed_offsets"] == [150]
         assert merged["shards"][0] == state["shards"][0]  # None = unchanged
-        assert merged["shards"][1]["offset"] == 9
-        assert merged["shards"][1]["daily_counts"] == [[0, 0], [1, 1]]
+        assert merged["shards"][1]["alarm_duplicates"] == 2
+        assert merged["shards"][1]["days"] == [[0, 0], [1, 1]]
         assert merged["shard_count"] == 2
+        assert merged["window"] == 30.0
 
     def test_shard_count_mismatch_raises(self):
-        state = {"shards": [{}, {}], "shard_count": 2}
+        state = {"shards": [engine_state(), engine_state()], "shard_count": 2}
         with pytest.raises(ValueError, match="shards"):
             apply_state_delta(state, {"shards": [None]})
 
 
-def engine_state(offset, **state):
+def engine_state(**state):
+    """An engine document (a full snapshot or a delta: one encoding),
+    empty but for ``state``."""
     base = {
-        "window": 30.0,
-        "offset": offset,
-        "moas_active": 0,
-        "alarms_emitted": 0,
         "alarm_duplicates": 0,
-        "evictions": 0,
-        "daily_counts": [],
+        "days": [],
         "origins": [],
         "observed": [],
-        "last_activity": [],
-        "alarm_counts": [],
+        "activity": [],
+        "alarms": [],
     }
     base.update(state)
     return base
@@ -242,35 +286,27 @@ def engine_state(offset, **state):
 def one_shard(engine, offset=0):
     """A one-shard composite document around ``engine``'s state."""
     return {
-        "shard_count": 1, "window": 30.0, "epoch": None,
+        "shard_count": 1, "window": 30.0,
         "feed_offsets": [offset * 10], "shards": [engine],
     }
 
 
 def one_shard_delta(engine_delta, offset=0):
-    return {"epoch": None, "feed_offsets": [offset * 10], "shards": [engine_delta]}
+    return {"feed_offsets": [offset * 10], "shards": [engine_delta]}
 
 
 def make_checkpoint(offset, **state):
     return Checkpoint(
         offset=offset,
         alarm_lines=0,
-        engine_state=one_shard(engine_state(offset, **state), offset),
+        engine_state=one_shard(engine_state(**state), offset),
         alarm_bytes=0,
     )
 
 
 def empty_delta(offset):
-    """A composite delta that changes nothing but the counters' offset."""
-    return one_shard_delta(
-        {
-            "window": 30.0, "offset": offset, "moas_active": 0,
-            "alarms_emitted": 0, "alarm_duplicates": 0, "evictions": 0,
-            "days": [], "origins": [], "observed": [], "activity": [],
-            "alarms": [],
-        },
-        offset,
-    )
+    """A composite delta that changes nothing but the feed offsets."""
+    return one_shard_delta(engine_state(), offset)
 
 
 class TestChainWriter:
@@ -423,7 +459,7 @@ class TestChainWriter:
             "offset": 7,
             "byte_offset": 70,
             "alarm_lines": 2,
-            "engine": engine_state(7),
+            "engine": engine_state(),
         }
         path.write_text(json.dumps(document, sort_keys=True))
         with pytest.raises(CheckpointError, match="version 1"):
@@ -457,15 +493,13 @@ def reference_engine_delta(state, delta):
                 tuple(conflicting) if conflicting is not None else (),
                 origin if origin is not None else -1)
 
-    days = {int(day): int(count) for day, count in state["daily_counts"]}
-    for day, count in delta.get("days", []):
+    days = {int(day): int(count) for day, count in state["days"]}
+    for day, count in delta["days"]:
         days[int(day)] = int(count)
     tables = {}
-    for component, shipped in (("origins", "origins"),
-                               ("observed", "observed"),
-                               ("last_activity", "activity")):
+    for component in ("origins", "observed", "activity"):
         table = {name: value for name, value in state[component]}
-        for name, value in delta.get(shipped, []):
+        for name, value in delta[component]:
             if value is None:
                 table.pop(name, None)
             else:
@@ -473,18 +507,16 @@ def reference_engine_delta(state, delta):
         tables[component] = [
             [name, table[name]] for name in sorted(table, key=order)
         ]
-    alarms = {alarm_key(entry): entry for entry in state["alarm_counts"]}
-    for entry in delta.get("alarms", []):
+    alarms = {alarm_key(entry): entry for entry in state["alarms"]}
+    for entry in delta["alarms"]:
         if entry[5] is None:
             alarms.pop(alarm_key(entry), None)
         else:
             alarms[alarm_key(entry)] = entry
-    merged = {name: delta[name] for name in (
-        "window", "offset", "moas_active", "alarms_emitted",
-        "alarm_duplicates", "evictions")}
-    merged["daily_counts"] = [[day, days[day]] for day in sorted(days)]
+    merged = {"alarm_duplicates": delta["alarm_duplicates"]}
+    merged["days"] = [[day, days[day]] for day in sorted(days)]
     merged.update(tables)
-    merged["alarm_counts"] = [alarms[key] for key in sorted(alarms)]
+    merged["alarms"] = [alarms[key] for key in sorted(alarms)]
     return merged
 
 
@@ -495,7 +527,7 @@ def reference_state_delta(state, delta):
         else reference_engine_delta(shard, shard_delta)
         for shard, shard_delta in zip(state["shards"], delta["shards"])
     ]
-    for key in ("feed_offsets", "epoch", "feed_ticks"):
+    for key in ("feed_offsets",):
         if key in delta:
             merged[key] = delta[key]
     return merged
@@ -510,10 +542,10 @@ ALARM_KINDS = ("moas-conflict", "origin-not-in-list")
 
 
 def empty_engine_state():
-    return engine_state(0)
+    return engine_state()
 
 
-def random_engine_delta(rng, offset):
+def random_engine_delta(rng):
     """A random set-to-value delta: inserts, overwrites and deletions
     (including of absent keys) per component, and alarm entries whose
     count may be ``None`` (an eviction's removal)."""
@@ -527,9 +559,7 @@ def random_engine_delta(rng, offset):
         return None if rng.random() < 0.3 else value
 
     delta = {
-        "window": 30.0, "offset": offset, "moas_active": rng.randrange(9),
-        "alarms_emitted": rng.randrange(99), "alarm_duplicates": rng.randrange(9),
-        "evictions": rng.randrange(9),
+        "alarm_duplicates": rng.randrange(9),
         "days": [[day, rng.randrange(5)]
                  for day in sorted(rng.sample(range(40), rng.randrange(4)))],
         "origins": [[name, maybe([[origin, members()] for origin in members()])]
@@ -556,20 +586,19 @@ def random_chain(rng, shards, length):
     ``length`` deltas for it."""
     def engine_base():
         return reference_engine_delta(
-            empty_engine_state(), random_engine_delta(rng, 0)
+            empty_engine_state(), random_engine_delta(rng)
         )
 
     base = {
-        "shard_count": shards, "window": 30.0, "epoch": 0.0,
+        "shard_count": shards, "window": 30.0,
         "feed_offsets": [0], "shards": [engine_base() for _ in range(shards)],
     }
     deltas = []
     for i in range(1, length + 1):
         deltas.append({
-            "epoch": float(i),
             "feed_offsets": [i * 100],
             "shards": [
-                None if rng.random() < 0.3 else random_engine_delta(rng, i)
+                None if rng.random() < 0.3 else random_engine_delta(rng)
                 for _ in range(shards)
             ],
         })
@@ -648,7 +677,8 @@ class TestFoldOnceChainReplay:
 
     def test_engine_chain_with_evictions_equals_iterated_fold(self, tmp_path):
         base, deltas, tip = engine_chain()
-        assert any(d["evictions"] for d in deltas)
+        # Only an eviction deletes a prefix's evidence.
+        assert any(value is None for d in deltas for _, value in d["observed"])
         assert any(entry[5] is None for d in deltas for entry in d["alarms"])
         assert any(value is None for d in deltas for _, value in d["origins"])
         write_engine_chain(tmp_path / "cp.json", base, deltas)
@@ -666,7 +696,7 @@ class TestFoldOnceChainReplay:
         write_engine_chain(tmp_path / "cp.json", base, deltas)
         distinct = {
             name
-            for component in ("origins", "observed", "last_activity")
+            for component in ("origins", "observed", "activity")
             for name, _ in base[component]
         } | {
             name

@@ -10,6 +10,7 @@ from repro.bgp.network import Network
 from repro.core.moas_list import moas_communities
 from repro.measurement.trace import TraceConfig, TraceGenerator
 from repro.net.addresses import Prefix
+from repro.stream import feed as feed_module
 from repro.stream.feed import (
     FEED_FORMAT,
     FeedCursor,
@@ -141,7 +142,8 @@ class TestFeedCursor:
             writer.write_all(records)
         return path.read_bytes().splitlines(keepends=True)
 
-    def test_reads_batches_skipping_header(self, tmp_path):
+    def test_reads_batches_skipping_header(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(feed_module, "_BATCH", 2)
         path = tmp_path / "feed.jsonl"
         records = [
             FeedRecord(op="A", time=0.0, prefix=P1, origin=7),
@@ -151,11 +153,11 @@ class TestFeedCursor:
         lines = self.write(path, records)
         cursor = FeedCursor(path)
         try:
-            # The limit counts lines: the header is read, and yields nothing.
-            assert cursor.read(2) == ([lines[1]], None)
-            assert cursor.read(10) == ([lines[2]], 1.0)
+            # The batch counts lines: the header is read, and yields nothing.
+            assert cursor.read() == ([lines[1]], None)
+            assert cursor.read() == ([lines[2]], 1.0)
             assert not cursor.done
-            assert cursor.read(10) == ([], None)
+            assert cursor.read() == ([], None)
             assert cursor.done
             assert cursor.position == path.stat().st_size
         finally:
@@ -182,7 +184,8 @@ class TestFeedCursor:
         finally:
             cursor.close()
 
-    def test_byte_offset_survives_seek(self, tmp_path):
+    def test_byte_offset_survives_seek(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(feed_module, "_BATCH", 3)
         path = tmp_path / "feed.jsonl"
         records = [
             FeedRecord(op="A", time=0.0, prefix=P1, origin=origin)
@@ -190,7 +193,7 @@ class TestFeedCursor:
         ]
         self.write(path, records)
         first = FeedCursor(path)
-        first.read(3)
+        first.read()
         mark = first.position
         rest = first.read()
         first.close()

@@ -26,7 +26,7 @@ from repro.cli import main as cli_main
 from repro.measurement.trace import FaultSpike, TraceConfig, TraceGenerator
 from repro.procpool import WorkerError
 from repro.query import answers_doc, canonical_json, scan_state
-from repro.stream.checkpoint import CheckpointError, load_checkpoint
+from repro.stream.checkpoint import CheckpointError, delta_path_for, load_checkpoint
 from repro.stream.engine import StreamEngine
 from repro.stream.feed import FeedError, FeedFleet, FeedWriter, snapshot_deltas
 from repro.stream.router import route_line, shard_for_prefix
@@ -394,8 +394,9 @@ class TestShardedResume:
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_v2_checkpoint_refused(self, tmp_path, capsys, shards):
-        """Version 2 (single-engine documents with a ``byte_offset``, or
-        composites) is refused by name, through the API and the CLI."""
+        """Versions 2 (single-engine documents with a ``byte_offset``, or
+        composites) and 3 (full snapshots in a shape of their own) are
+        refused by name, through the API and the CLI."""
         feed, _ = self._expected(tmp_path)
         alarms = tmp_path / "alarms.jsonl"
         cp = tmp_path / "cp.json"
@@ -403,24 +404,74 @@ class TestShardedResume:
             [feed], alarms, cp, shards=shards, max_records=1500,
             async_io=False,
         ).run()
-        document = json.loads(cp.read_text())
-        document.update(version=2, byte_offset=0)
-        cp.write_text(json.dumps(document, sort_keys=True))
+        current = json.loads(cp.read_text())
         durable = alarms.read_bytes()
-        with pytest.raises(CheckpointError, match="checkpoint version 2"):
-            sharded([feed], alarms, cp, shards=shards).run(resume=True)
-        # Refused before anything is rolled back, and the CLI reports it as
-        # one failed-run line rather than a traceback.
-        assert alarms.read_bytes() == durable
+        for version, extra in ((2, {"byte_offset": 0}), (3, {})):
+            document = dict(current, version=version, **extra)
+            cp.write_text(json.dumps(document, sort_keys=True))
+            with pytest.raises(
+                CheckpointError, match=f"checkpoint version {version}"
+            ):
+                sharded([feed], alarms, cp, shards=shards).run(resume=True)
+            # Refused before anything is rolled back, and the CLI reports
+            # it as one failed-run line rather than a traceback.
+            assert alarms.read_bytes() == durable
+            err = self._cli_resume(capsys, feed, alarms, cp, shards)
+            assert f"unsupported checkpoint version {version}" in err
+
+    @staticmethod
+    def _cli_resume(capsys, feed, alarms, cp, shards, *extra):
+        """Resume through the CLI, which must fail with exit 1 and one
+        ``stream run failed`` stderr line; returns that line."""
+        capsys.readouterr()
         code = cli_main([
             "stream", "run", str(feed), "--alarms", str(alarms),
             "--checkpoint", str(cp), "--shards", str(shards), "--resume",
+            *extra,
         ])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1, err
         assert err[0].startswith("stream run failed: ")
-        assert "unsupported checkpoint version 2" in err[0]
+        return err[0]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_window_mismatch_refused(self, tmp_path, capsys, shards):
+        """A resume with another eviction window would run the engines on
+        the old one while the manifest reports the new one: refused,
+        naming both values."""
+        feed, _ = self._expected(tmp_path)
+        alarms = tmp_path / "alarms.jsonl"
+        cp = tmp_path / "cp.json"
+        sharded(
+            [feed], alarms, cp, shards=shards, window=30.0, max_records=1500,
+        ).run()
+        durable = alarms.read_bytes()
+        with pytest.raises(CheckpointError, match=r"window 30\.0.*5\.0"):
+            sharded(
+                [feed], alarms, cp, shards=shards, window=5.0
+            ).run(resume=True)
+        assert alarms.read_bytes() == durable
+        err = self._cli_resume(capsys, feed, alarms, cp, shards, "--window", "5")
+        assert "window 30.0" in err and "5.0" in err
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_malformed_snapshot_refused(self, tmp_path, capsys, shards):
+        """A full snapshot missing a table is refused at load, naming the
+        file, before any shard is restored."""
+        feed, _ = self._expected(tmp_path)
+        alarms = tmp_path / "alarms.jsonl"
+        cp = tmp_path / "cp.json"
+        sharded([feed], alarms, cp, shards=shards, max_records=1500).run()
+        document = json.loads(cp.read_text())
+        del document["engine"]["shards"][0]["origins"]
+        cp.write_text(json.dumps(document, sort_keys=True))
+        # The snapshot alone: deltas would no longer chain from it.
+        delta_path_for(cp).unlink()
+        with pytest.raises(CheckpointError, match="malformed snapshot"):
+            sharded([feed], alarms, cp, shards=shards).run(resume=True)
+        err = self._cli_resume(capsys, feed, alarms, cp, shards)
+        assert str(cp) in err and "origins" in err
 
     def test_feed_count_mismatch_refused(self, tmp_path):
         feed, _ = self._expected(tmp_path)

@@ -214,7 +214,7 @@ class TestDayCadence:
         assert summary.stopped is True and summary.eof is False
         tip = load_checkpoint(cp)
         assert tip.index_coordinates()["feed_offsets"] == [cut]
-        assert tip.engine_state["epoch"] == self.FAULT_DAY - 1
+        assert tip.engine_state["shards"][0]["days"][-1][0] == self.FAULT_DAY - 1
         assert 0 < tip.alarm_bytes < len(expected)
         with live.open("ab") as handle:
             handle.write(data[cut:])
@@ -252,7 +252,7 @@ class TestDayCadence:
         tip = load_checkpoint(cp)
         tick = b'{"op":"T","t":10.0}\n'
         data = feed.read_bytes()
-        assert tip.engine_state["epoch"] == self.FAULT_DAY
+        assert tip.engine_state["shards"][0]["days"][-1][0] == self.FAULT_DAY
         assert tip.index_coordinates()["feed_offsets"] == [
             data.index(tick) + len(tick)
         ]
