@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 #: "long-lived" (the Live Long and Prosper split; see PAPERS.md).
 LONG_LIVED_DAYS = 30.0
 
-#: Ranking keys accepted by :func:`top_answer`.
+#: Ranking keys accepted by :func:`ranking` and :func:`top_answer`.
 TOP_KEYS = ("alarms", "transitions", "moas_days")
 
 
@@ -282,13 +282,11 @@ def stats_answer(state: StoreState) -> Dict[str, Any]:
     }
 
 
-def top_answer(state: StoreState, k: int, by: str = "alarms") -> List[Dict[str, Any]]:
-    """The K noisiest prefixes under one ranking key (ties broken by
-    prefix string, ascending — fully deterministic)."""
+def ranking(state: StoreState, by: str = "alarms") -> List[Dict[str, Any]]:
+    """Every prefix with a nonzero ``by`` count, noisiest first (ties
+    broken by prefix string, ascending — fully deterministic)."""
     if by not in TOP_KEYS:
         raise ValueError(f"unknown ranking key {by!r}; expected one of {TOP_KEYS}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     rows: List[Dict[str, Any]] = []
     for prefix in sorted(state.prefixes):
         history = state.prefixes[prefix]
@@ -302,7 +300,14 @@ def top_answer(state: StoreState, k: int, by: str = "alarms") -> List[Dict[str, 
         if row[by]:
             rows.append(row)
     rows.sort(key=lambda row: (-float(row[by]), row["prefix"]))
-    return rows[:k]
+    return rows
+
+
+def top_answer(state: StoreState, k: int, by: str = "alarms") -> List[Dict[str, Any]]:
+    """The K noisiest prefixes: the head of :func:`ranking`."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return ranking(state, by)[:k]
 
 
 def daily_answer(state: StoreState, kind: str = "alarms") -> List[List[int]]:

@@ -11,10 +11,23 @@ same generation → no-op; a manifest whose segment list extends the loaded
 one → fold just the new segments; anything else (a fresh run rebuilt the
 index) → full reload.  Readers never take locks against the writer — the
 atomic manifest replace is the only synchronisation point.
+
+The whole-store answers (:meth:`QueryIndex.stats` and the full ranking
+behind :meth:`QueryIndex.top`, one per key in
+:data:`~repro.query.model.TOP_KEYS`) depend only on the loaded
+generation, so each is computed once per generation and memoised (the
+statistics as their canonical JSON).  Every fold drops the memo — the
+appended segments of an extending manifest as well as a full rebuild —
+and each call returns a fresh copy, so a caller that mutates an answer
+cannot change the next one.  The per-prefix and daily answers are cheap
+and are computed per call.  A ``QueryIndex`` is not locked: callers that
+share one across threads serialise their calls, as the HTTP server does
+under its lock.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -22,10 +35,11 @@ from repro.obs.metrics import Counter, MetricsRegistry
 from repro.query.model import (
     StoreState,
     answers_doc,
+    canonical_json,
     daily_answer,
     prefix_report,
+    ranking,
     stats_answer,
-    top_answer,
 )
 from repro.query.segments import load_manifest, load_segment, manifest_etag
 from repro.query.track import QueryError
@@ -54,9 +68,13 @@ class QueryIndex:
             )
         self._manifest = manifest
         self._state = StoreState()
+        self._stats: Optional[str] = None
+        self._rankings: Dict[str, List[Dict[str, Any]]] = {}
         self._fold_entries(manifest["segments"])
 
     def _fold_entries(self, entries: List[Dict[str, Any]]) -> None:
+        self._stats = None
+        self._rankings = {}
         for entry in entries:
             doc = load_segment(
                 self.index_dir / str(entry["name"]),
@@ -81,6 +99,8 @@ class QueryIndex:
 
     @property
     def state(self) -> StoreState:
+        """The folded store.  Read-only: the memoised answers assume
+        only a fold changes it."""
         return self._state
 
     def reload_if_changed(self) -> bool:
@@ -114,16 +134,25 @@ class QueryIndex:
             self._m_reloads.inc()
         return True
 
-    # -- answers (pure delegation to the shared model) ------------------------
+    # -- answers (the shared model's, whole-store ones memoised) --------------
 
     def stats(self) -> Dict[str, Any]:
-        return stats_answer(self._state)
+        if self._stats is None:
+            self._stats = canonical_json(stats_answer(self._state))
+        return json.loads(self._stats)
 
     def prefix(self, prefix: str) -> Dict[str, Any]:
         return prefix_report(self._state, prefix)
 
     def top(self, k: int, by: str = "alarms") -> List[Dict[str, Any]]:
-        return top_answer(self._state, k, by)
+        """:func:`~repro.query.model.top_answer`, sliced from the memoised
+        ranking."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        rows = self._rankings.get(by)
+        if rows is None:
+            rows = self._rankings[by] = ranking(self._state, by)
+        return [dict(row) for row in rows[:k]]
 
     def daily(self, kind: str = "alarms") -> List[List[int]]:
         return daily_answer(self._state, kind)

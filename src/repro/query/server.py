@@ -17,7 +17,11 @@ is never computed.  Each request first runs
 :meth:`~repro.query.reader.QueryIndex.reload_if_changed` under the
 server's lock, so a server pointed at a live stream's index directory
 serves fresh boundaries without restarting — the atomic manifest replace
-makes the check safe at any moment.
+makes the check safe at any moment.  ``/v1/stats`` and ``/v1/top`` are
+memoised by the index per generation, so a poller's repeat costs a copy
+and an encode, not a pass over the store.  Every accepted socket has
+``TCP_NODELAY`` set, so a keep-alive reply never waits on the client's
+delayed ACK.
 
 The serving path contains no sleeps and no wall-clock reads of its own
 (repro-lint R006/R002 apply to this module like any other): request
@@ -63,6 +67,10 @@ class QueryRequestHandler(BaseHTTPRequestHandler):
 
     server: QueryHTTPServer
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: the headers and the body go
+    # out as two writes, and with Nagle's algorithm on the body would wait
+    # for the client's delayed ACK (~40 ms) on every keep-alive reply.
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args: Any) -> None:
         return None  # request logging is the caller's concern, not stderr's

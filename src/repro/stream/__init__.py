@@ -34,7 +34,6 @@ from repro.stream.checkpoint import (
     reap_stale_tmp,
     save_checkpoint,
 )
-from repro.stream.delta import apply_engine_delta, apply_state_delta
 from repro.stream.engine import StreamAlarm, StreamEngine
 from repro.stream.feed import (
     FEED_FORMAT,
@@ -65,8 +64,6 @@ __all__ = [
     "StreamEngine",
     "StreamService",
     "StreamSummary",
-    "apply_engine_delta",
-    "apply_state_delta",
     "feed_header_line",
     "load_chain",
     "load_checkpoint",

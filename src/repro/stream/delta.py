@@ -23,9 +23,7 @@ I/O so it can be property-tested in isolation:
   (:func:`repro.stream.checkpoint.load_chain`) folds the full snapshot and
   every delta line of a chain through one fold, so replaying a chain costs
   O(state + delta bytes) and computes each prefix's sort key once, however
-  long the chain;
-* :func:`apply_engine_delta` / :func:`apply_state_delta` — one-delta calls
-  of the same folds, for one engine state and for a composite document.
+  long the chain.
 
 Delta semantics are **set-to-value**: each dirtied key carries its complete
 current value, with ``None`` meaning "deleted".  Applying a delta is
@@ -173,27 +171,3 @@ class CompositeFold:
         ]
         return merged
 
-
-def apply_engine_delta(
-    state: Dict[str, Any], delta: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Fold one engine delta into a full engine-state document.
-
-    Both inputs are canonical JSON-safe structures in the one encoding;
-    the result is again canonical (sorted exactly as ``snapshot_state``
-    sorts), so chains of deltas replay to bit-identical documents
-    regardless of where the full snapshot fell.
-    """
-    return EngineFold().apply(state).apply(delta).document()
-
-
-def apply_state_delta(
-    state: Dict[str, Any], delta: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Fold a delta into a composite checkpoint document.
-
-    Composite documents hold one engine state per shard under ``"shards"``
-    plus the feed coordinates; their deltas carry one engine delta (or
-    ``None``) per shard in shard order.
-    """
-    return CompositeFold(state).apply(delta).document()

@@ -81,15 +81,13 @@ class StreamEngine:
     # deliberately not part of the snapshot.  ``window`` is configuration:
     # the composite checkpoint document carries the run's one copy, and the
     # service refuses a resume with another.  ``_moas_active`` is derived
-    # from the origins, and restore_state recounts it.  ``alarms_emitted``
-    # and ``evictions`` count this process's work only: the run's emitted
-    # alarms are the chain's ``alarm_lines``, and nothing reads a
-    # run-long eviction count.
+    # from the origins, and restore_state recounts it.  ``evictions``
+    # counts this process's work only: nothing reads a run-long eviction
+    # count.
     _SNAPSHOT_WAIVED = frozenset(
         {
             "window",
             "_moas_active",
-            "alarms_emitted",
             "evictions",
             "_m_updates",
             "_m_announces",
@@ -137,7 +135,6 @@ class StreamEngine:
         # transitions so a tick is O(1) for the count itself.
         self._moas_active = 0
         self.daily_counts: Dict[int, int] = {}
-        self.alarms_emitted = 0
         self.alarm_duplicates = 0
         self.evictions = 0
         self._m_updates: Optional[Counter] = None
@@ -317,7 +314,6 @@ class StreamEngine:
         self._alarm_counts[key] = count + 1
         self._dirty_alarms.add(key)
         if count == 0:
-            self.alarms_emitted += 1
             if self._m_alarms is not None:
                 self._m_alarms.inc()
             out.append(alarm)
@@ -348,15 +344,15 @@ class StreamEngine:
         """Canonical delta: only keys dirtied since :meth:`mark_clean`.
 
         Entries use set-to-value semantics — each dirty key carries its
-        complete current value, ``None`` meaning deleted — so
-        :func:`repro.stream.delta.apply_engine_delta` folds them into a
-        prior :meth:`snapshot_state` document to reproduce this engine's
-        state exactly.  The three per-prefix components are tracked (and
-        emitted) independently, and a live prefix carries no activity
-        stamp: a refresh-mode workload re-announces the whole live table
-        daily, yet its identical routes leave all three untouched — that is
-        what keeps incremental checkpoints cheap at exactly the workload
-        where full snapshots are dearest.
+        complete current value, ``None`` meaning deleted — so a
+        :class:`~repro.stream.delta.EngineFold` holding a prior
+        :meth:`snapshot_state` document folds them in to reproduce this
+        engine's state exactly.  The three per-prefix components are
+        tracked (and emitted) independently, and a live prefix carries no
+        activity stamp: a refresh-mode workload re-announces the whole
+        live table daily, yet its identical routes leave all three
+        untouched — that is what keeps incremental checkpoints cheap at
+        exactly the workload where full snapshots are dearest.
         Does not clear the dirty sets; pair with :meth:`mark_clean` once
         the payload is handed to the writer.
         """

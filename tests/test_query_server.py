@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
+import socket
 import threading
 import urllib.error
 import urllib.parse
@@ -14,7 +16,14 @@ import pytest
 from repro.measurement.trace import FaultSpike, TraceConfig, TraceGenerator
 from repro.obs.metrics import MetricsRegistry
 from repro.query import QueryIndex, build_index, canonical_json
-from repro.query.model import daily_answer, prefix_report, stats_answer, top_answer
+from repro.query.model import (
+    TOP_KEYS,
+    daily_answer,
+    prefix_report,
+    stats_answer,
+    top_answer,
+)
+from repro.query.segments import load_manifest
 from repro.query.server import make_server
 from repro.stream.feed import FeedWriter, snapshot_deltas
 from repro.stream.service import StreamService
@@ -41,20 +50,27 @@ def store(tmp_path_factory):
     return feed, alarms, idx
 
 
-@pytest.fixture()
-def server(store):
-    _, _, idx = store
-    metrics = MetricsRegistry()
+@contextlib.contextmanager
+def serving(idx, metrics=None):
+    """A running server over ``idx``: yields its base URL and itself."""
     httpd = make_server(idx, port=0, metrics=metrics)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     host, port = httpd.server_address[:2]
     try:
-        yield f"http://{host}:{port}", httpd, metrics
+        yield f"http://{host}:{port}", httpd
     finally:
         httpd.shutdown()
         thread.join(timeout=10)
         httpd.server_close()
+
+
+@pytest.fixture()
+def server(store):
+    _, _, idx = store
+    metrics = MetricsRegistry()
+    with serving(idx, metrics) as (base, httpd):
+        yield base, httpd, metrics
 
 
 def get(base, path, headers=None):
@@ -154,18 +170,70 @@ class TestEndpoints:
         assert status == 304 and body == b""
         assert len(calls) == 1
 
+    def test_accepted_sockets_disable_nagle(self, server, monkeypatch):
+        """The headers and the body are two writes; with Nagle's algorithm
+        on, the body waits for the client's delayed ACK."""
+        base, httpd, _ = server
+        nodelay = []
+        done = threading.Event()
+        finish_request = httpd.finish_request
+
+        def recording(request, client_address):
+            finish_request(request, client_address)
+            nodelay.append(
+                request.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+            done.set()
+
+        monkeypatch.setattr(httpd, "finish_request", recording)
+        assert get(base, "/healthz")[0] == 200
+        assert done.wait(timeout=10)
+        assert nodelay and nodelay[0] != 0
+
+    def test_mutating_an_answer_changes_no_later_answer(self, server, store):
+        base, httpd, _ = server
+        _, _, idx = store
+        state = QueryIndex(idx).state
+        index = httpd.index
+        stats = index.stats()
+        stats["records"] = -1
+        stats["alarms"]["by_kind"].clear()
+        stats["moas"]["durations"]["count"] = -1
+        top = index.top(3, "alarms")
+        top[0]["alarms"] = -1
+        top.append({"prefix": "bogus"})
+        assert index.stats() == stats_answer(state)
+        assert index.top(3, "alarms") == top_answer(state, 3, "alarms")
+        status, _, body = get(base, "/v1/stats")
+        assert status == 200
+        assert body.decode() == canonical_json(stats_answer(state)) + "\n"
+        status, _, body = get(base, "/v1/top?k=3&by=alarms")
+        assert body.decode() == canonical_json(top_answer(state, 3, "alarms")) + "\n"
+
+
+def whole_store_bodies(base):
+    """``/v1/stats`` and ``/v1/top`` under every key, as served."""
+    bodies = {"stats": get(base, "/v1/stats")[2]}
+    for by in TOP_KEYS:
+        bodies[by] = get(base, f"/v1/top?k=5&by={by}")[2]
+    return bodies
+
+
+def fresh_bodies(idx):
+    """The same answers from a fresh, unmemoised computation."""
+    state = QueryIndex(idx).state
+    bodies = {"stats": canonical_json(stats_answer(state))}
+    for by in TOP_KEYS:
+        bodies[by] = canonical_json(top_answer(state, 5, by))
+    return {key: (body + "\n").encode() for key, body in bodies.items()}
+
 
 class TestLiveReload:
     def test_new_generation_served_without_restart(self, store, tmp_path):
         feed, alarms, _ = store
         idx = tmp_path / "idx"
         build_index([feed], alarms, idx, segment_days=1000)
-        httpd = make_server(idx, port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        host, port = httpd.server_address[:2]
-        base = f"http://{host}:{port}"
-        try:
+        with serving(idx) as (base, _):
             _, headers_before, _ = get(base, "/v1/stats")
             # Rebuild the index behind the running server with a finer
             # cadence: new generation, same answers.
@@ -173,7 +241,56 @@ class TestLiveReload:
             _, headers_after, body = get(base, "/v1/stats")
             assert headers_after["ETag"] != headers_before["ETag"]
             assert json.loads(body)["records"] == QueryIndex(idx).records
-        finally:
-            httpd.shutdown()
-            thread.join(timeout=10)
-            httpd.server_close()
+
+    def test_extended_index_drops_the_memo(self, store, tmp_path):
+        """A live stream appends days: the reload folds only the new
+        segments, and the memoised whole-store answers follow."""
+        feed, _, _ = store
+        idx = tmp_path / "idx"
+        alarms = tmp_path / "alarms.log"
+        cp = tmp_path / "cp.json"
+        StreamService(
+            feed, alarms, cp, checkpoint_every=300, max_records=1500,
+            index=idx,
+        ).run()
+        before = load_manifest(idx)["segments"]
+        metrics = MetricsRegistry()
+        with serving(idx, metrics) as (base, _):
+            stale = whole_store_bodies(base)  # fills the memo
+            StreamService(
+                feed, alarms, cp, checkpoint_every=300, index=idx,
+            ).run(resume=True)
+            after = load_manifest(idx)["segments"]
+            assert after[: len(before)] == before and len(after) > len(before)
+            served = whole_store_bodies(base)
+        # The extend path: each segment file was folded exactly once.
+        assert metrics.snapshot()["query.segments_loaded"] == len(after)
+        assert served == fresh_bodies(idx)
+        assert served["stats"] != stale["stats"]
+        assert any(served[by] != stale[by] for by in TOP_KEYS)
+
+    def test_rebuilt_index_drops_the_memo(self, store, tmp_path):
+        """A rebuild over more days: the reload starts a new store, and
+        the memoised whole-store answers follow."""
+        feed, alarms, _ = store
+        idx = tmp_path / "idx"
+        StreamService(
+            feed, tmp_path / "partial.log", None, checkpoint_every=300,
+            max_records=1500, index=idx,
+        ).run()
+        before = load_manifest(idx)
+        metrics = MetricsRegistry()
+        with serving(idx, metrics) as (base, _):
+            stale = whole_store_bodies(base)  # fills the memo
+            build_index([feed], alarms, idx, segment_days=5)
+            after = load_manifest(idx)
+            assert after["generation"] != before["generation"]
+            assert after["segments"][0] != before["segments"][0]
+            served = whole_store_bodies(base)
+        # The rebuild path: every segment of the new manifest was folded.
+        assert metrics.snapshot()["query.segments_loaded"] == len(
+            before["segments"]
+        ) + len(after["segments"])
+        assert served == fresh_bodies(idx)
+        assert served["stats"] != stale["stats"]
+        assert any(served[by] != stale[by] for by in TOP_KEYS)

@@ -28,7 +28,7 @@ from repro.stream.checkpoint import (
     save_checkpoint,
 )
 from repro.net.addresses import Prefix
-from repro.stream.delta import EngineFold, apply_engine_delta, apply_state_delta
+from repro.stream.delta import CompositeFold, EngineFold
 from repro.stream.engine import StreamEngine
 from repro.stream.feed import (
     OP_ANNOUNCE,
@@ -143,7 +143,7 @@ class TestEngineDeltaAlgebra:
                     state = roundtrip(engine.snapshot_state())
                 else:
                     delta = roundtrip(engine.delta_state())
-                    state = apply_engine_delta(state, delta)
+                    state = EngineFold().apply(state).apply(delta).document()
                 engine.mark_clean()
                 assert state == roundtrip(engine.snapshot_state())
         assert boundary > 5  # the fold was exercised repeatedly
@@ -161,8 +161,11 @@ class TestEngineDeltaAlgebra:
                 if base is None:
                     base = roundtrip(engine.snapshot_state())
                 else:
-                    base = apply_engine_delta(
-                        base, roundtrip(engine.delta_state())
+                    base = (
+                        EngineFold()
+                        .apply(base)
+                        .apply(roundtrip(engine.delta_state()))
+                        .document()
                     )
                 engine.mark_clean()
                 assert base == roundtrip(engine.snapshot_state())
@@ -199,7 +202,7 @@ class TestEngineDeltaAlgebra:
         # Folding the empty delta still reproduces the snapshot.
         base = roundtrip(self._snapshot_at(announce))
         assert base["activity"] == []  # a live prefix has no stamp
-        merged = apply_engine_delta(base, roundtrip(delta))
+        merged = EngineFold().apply(base).apply(roundtrip(delta)).document()
         assert merged == roundtrip(engine.snapshot_state())
         # The withdrawal that kills the prefix stamps it.
         engine.apply(
@@ -254,7 +257,7 @@ class TestEngineDeltaAlgebra:
                 engine_state(alarm_duplicates=2, days=[[1, 1]]),
             ],
         }
-        merged = apply_state_delta(state, delta)
+        merged = CompositeFold(state).apply(delta).document()
         assert merged["feed_offsets"] == [150]
         assert merged["shards"][0] == state["shards"][0]  # None = unchanged
         assert merged["shards"][1]["alarm_duplicates"] == 2
@@ -265,7 +268,7 @@ class TestEngineDeltaAlgebra:
     def test_shard_count_mismatch_raises(self):
         state = {"shards": [engine_state(), engine_state()], "shard_count": 2}
         with pytest.raises(ValueError, match="shards"):
-            apply_state_delta(state, {"shards": [None]})
+            CompositeFold(state).apply({"shards": [None]})
 
 
 def engine_state(**state):
@@ -671,7 +674,7 @@ class TestFoldOnceChainReplay:
         reference = iterated = base
         for delta in deltas:
             reference = reference_state_delta(reference, delta)
-            iterated = apply_state_delta(iterated, delta)
+            iterated = CompositeFold(iterated).apply(delta).document()
         assert replayed == roundtrip(reference)
         assert iterated == reference
 

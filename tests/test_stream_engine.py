@@ -100,7 +100,7 @@ class TestConsistencyRules:
         # evidence, so no new alarm is recorded at all.
         again = run(engine, [announce(1.0, P1, 9, moas=(9,))])
         assert again == []
-        assert engine.alarms_emitted == 1
+        assert len(first) + len(again) == 1
 
     def test_repeated_malformed_announce_dedups(self):
         engine = StreamEngine()

@@ -197,7 +197,7 @@ class TestShardedParity:
             shards=2,
         )
         summary = router.run()
-        assert summary.alarms_emitted == engine.alarms_emitted
+        assert summary.alarms_emitted == len(expected_alarms)
         assert summary.moas_active == engine.moas_active
         routed_lines = (tmp_path / "alarms.jsonl").read_text().splitlines()
         assert sorted(routed_lines) == sorted(expected_alarms)
